@@ -19,13 +19,13 @@ from .document import DocumentError, parse_document, serialize_document
 from .measures import (
     TotalUncertainty,
     UnknownModel,
-    dst_ku_reference,
     interval_distance_to_unit,
     ku,
     total_uncertainty,
     uu_coefficient,
 )
-from .oracle import CheckReport, GeneratorConfig, generate, oracle_bel_pl
+from .oracle import (CheckReport, GeneratorConfig, dst_ku_reference, generate,
+                     oracle_bel_pl)
 
 __all__ = [
     "MASS_TOL", "X_LABEL", "BeliefInterval", "DNumber", "Frame",

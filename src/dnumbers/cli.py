@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .core import DNumber, Frame, belief_interval, complete
+from .core import belief_interval, complete
 from .document import DocumentError, parse_document, serialize_document
 from .measures import (
     UnknownModel,
@@ -80,33 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> tuple[Frame, DNumber]:
-    try:
-        text = Path(path).read_bytes()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return parse_document(text)
-
-
 def cmd_validate(args) -> int:
-    try:
-        _load(args.path)
-    except DocumentError as exc:
-        for message in exc.errors:
-            print(message, file=sys.stderr)
-        return EXIT_VALIDATION
+    parse_document(Path(args.path).read_bytes())
     print("ok")
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
-    try:
-        frame, raw = _load(args.path)
-    except DocumentError as exc:
-        for message in exc.errors:
-            print(message, file=sys.stderr)
-        return EXIT_VALIDATION
+    frame, raw = parse_document(Path(args.path).read_bytes())
     d = complete(raw)
     injected = 0.0 if raw.completed else 1.0 - raw.total_mass
     model = UnknownModel(args.unknown_model)
@@ -120,9 +102,8 @@ def cmd_measure(args) -> int:
     extra = []
     if args.subsets == "all":
         if frame.size > ENUMERATION_CAP:
-            print(f"error: --subsets all limited to frames of size "
-                  f"{ENUMERATION_CAP}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--subsets all limited to frames of size "
+                             f"{ENUMERATION_CAP}")
         for a in range(1, frame.full_mask + 1):
             interval = belief_interval(d, a)
             extra.append(("|".join(frame.labels_of(a)),
@@ -163,32 +144,32 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(name: str, args) -> CheckReport:
-    focal = min(3, 2 ** args.frame_size - 1)
-    config = GeneratorConfig(frame_size=args.frame_size, focal_count=focal,
-                             seed=args.seed)
+def _run_suite(name: str, trials: int, config: GeneratorConfig) -> CheckReport:
     if name == "range":
-        return check_range(args.trials, config)
+        return check_range(trials, config)
     if name == "monotonicity":
-        return check_monotonicity(args.trials, config)
+        return check_monotonicity(trials, config)
     if name == "set-consistency":
         # seeded random degree matrix exercises the non-exclusive terms
         frame, _ = generate_raw(config)
         return check_set_consistency(frame)
     if name == "degeneration":
-        return check_degeneration(
-            args.trials,
-            GeneratorConfig(frame_size=args.frame_size, focal_count=focal,
-                            completeness="complete", exclusivity="exclusive",
-                            seed=args.seed))
-    return check_oracle_equivalence(args.trials, config)
+        return check_degeneration(trials, replace(
+            config, completeness="complete", exclusivity="exclusive"))
+    return check_oracle_equivalence(trials, config)
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    # three focal sets, or the only nonempty subset of a one-element frame
+    config = GeneratorConfig(frame_size=args.frame_size,
+                             focal_count=1 if args.frame_size == 1 else 3,
+                             seed=args.seed)
     suites = SUITES if args.suite == "all" else (args.suite,)
     failed = False
     for name in suites:
-        report = _run_suite(name, args)
+        report = _run_suite(name, args.trials, config)
         status = "PASS" if report.ok else "FAIL"
         print(f"{status} {report.name}: trials={report.trials} "
               f"failures={len(report.failures)} "
@@ -208,33 +189,37 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        config = GeneratorConfig(frame_size=args.frame_size,
-                                 focal_count=args.focal_count,
-                                 completeness=args.completeness,
-                                 exclusivity=args.exclusivity,
-                                 seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = GeneratorConfig(frame_size=args.frame_size,
+                             focal_count=args.focal_count,
+                             completeness=args.completeness,
+                             exclusivity=args.exclusivity,
+                             seed=args.seed)
     frame, d = generate_raw(config)
     text = serialize_document(frame, d)
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place its errors become exit codes."""
     args = build_parser().parse_args(argv)
     handler = {"validate": cmd_validate, "measure": cmd_measure,
                "check": cmd_check, "gen": cmd_gen}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except DocumentError as exc:
+        for message in exc.errors:
+            print(message, file=sys.stderr)
+        return EXIT_VALIDATION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # like argparse's usage errors
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 if __name__ == "__main__":

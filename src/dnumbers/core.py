@@ -9,7 +9,9 @@ bit N reserved for X.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 #: Tolerance for mass-sum validation.
 MASS_TOL = 1e-9
@@ -22,15 +24,18 @@ X_LABEL = "X"
 class Frame:
     """Ordered element labels, the unknown element X, and pairwise degrees.
 
-    ``degrees`` maps index pairs (i, j) with i < j to a non-exclusivity
-    degree in [0, 1]; index ``len(elements)`` stands for X. Absent pairs
-    default to 0 (pure exclusivity). Instances are immutable; build them
-    with :func:`build_frame`.
+    ``degrees`` is a read-only copy of a map from index pairs (i, j), i < j,
+    to a non-exclusivity degree in (0, 1]; index ``len(elements)`` stands
+    for X. Absent pairs default to 0 (pure exclusivity). Instances are
+    immutable, degree table included; build them with :func:`build_frame`.
     """
 
     elements: tuple[str, ...]
     unknown_cardinality: int | None
-    degrees: dict[tuple[int, int], float] = field(default_factory=dict)
+    degrees: Mapping[tuple[int, int], float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "degrees", MappingProxyType(dict(self.degrees)))
 
     @property
     def size(self) -> int:
@@ -71,11 +76,8 @@ class Frame:
             raise ValueError("non-exclusivity is undefined for the empty set")
         if a & b:
             return 1.0
-        best = 0.0
-        for i in iter_indices(a):
-            for j in iter_indices(b):
-                best = max(best, self.lookup(i, j))
-        return best
+        return max(self.lookup(i, j)
+                   for i in iter_indices(a) for j in iter_indices(b))
 
     def index_of(self, label: str) -> int:
         if label == X_LABEL:
@@ -102,12 +104,10 @@ class Frame:
 
 def iter_indices(mask: int):
     """Indices of the set bits of a mask, ascending."""
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
@@ -122,15 +122,15 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
     labels = tuple(labels)
     if not labels:
         raise ValueError("a frame needs at least one element")
-    seen = set()
-    for label in labels:
+    index = {X_LABEL: len(labels)}
+    for i, label in enumerate(labels):
         if not label:
             raise ValueError("element labels must be nonempty")
         if label == X_LABEL:
             raise ValueError(f"{X_LABEL!r} is reserved for the unknown element")
-        if label in seen:
+        if label in index:
             raise ValueError(f"duplicate label {label!r}")
-        seen.add(label)
+        index[label] = i
 
     if unknown_cardinality in ("unknown", None):
         card: int | None = None
@@ -139,37 +139,41 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
         if card < 2:
             raise ValueError("unknown cardinality must be at least 2")
 
-    frame = Frame(labels, card, {})
     table: dict[tuple[int, int], float] = {}
     for (la, lb), p in degrees:
         p = float(p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"degree {p} for pair ({la!r}, {lb!r}) outside [0, 1]")
-        i, j = frame.index_of(la), frame.index_of(lb)
+        for label in (la, lb):
+            if label not in index:
+                raise ValueError(f"unknown label {label!r}")
+        i, j = sorted((index[la], index[lb]))
         if i == j:
             continue  # forced to 1, never stored
-        key = (i, j) if i < j else (j, i)
-        if key in table and table[key] != p:
+        if table.get((i, j), p) != p:
             raise ValueError(f"conflicting degrees for pair ({la!r}, {lb!r})")
         if p > 0.0:
-            table[key] = p
-    frame.degrees.update(table)
-    return frame
+            table[i, j] = p
+    return Frame(labels, card, table)
 
 
 @dataclass(frozen=True)
 class DNumber:
     """A mass assignment over nonempty subsets of the frame.
 
-    ``masses`` maps subset masks to positive masses in canonical
-    (ascending-mask) order. Total mass is at most 1; ``completed`` is
-    true when it equals 1 within :data:`MASS_TOL`. Instances are
-    immutable; build them with :func:`build_dnumber`.
+    ``masses`` is a read-only copy of a map from subset masks to positive
+    finite masses, in canonical (ascending-mask) order. Total mass is at
+    most 1; ``completed`` is true when it equals 1 within :data:`MASS_TOL`.
+    Instances are immutable, mass table included; build them with
+    :func:`build_dnumber`.
     """
 
     frame: Frame
-    masses: dict[int, float]
+    masses: Mapping[int, float]
     completed: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "masses", MappingProxyType(dict(self.masses)))
 
     @property
     def total_mass(self) -> float:
@@ -177,14 +181,16 @@ class DNumber:
 
 
 def build_dnumber(frame: Frame, entries) -> DNumber:
-    """Build a raw D number from (mask, mass) entries.
+    """Build a D number from (mask, mass) entries.
 
-    Duplicate subsets are merged, zero masses dropped. The total mass
-    must not exceed 1.
+    Duplicate subsets are merged, zero masses dropped. Masses must be
+    finite and nonnegative, and the total mass must not exceed 1.
     """
     merged: dict[int, float] = {}
     for mask, mass in entries:
         mass = float(mass)
+        if not math.isfinite(mass):
+            raise ValueError(f"mass {mass} is not finite")
         if mass < 0.0:
             raise ValueError(f"negative mass {mass}")
         if mask == 0:
@@ -207,12 +213,8 @@ def complete(d: DNumber) -> DNumber:
     """
     if d.completed:
         return d
-    residual = 1.0 - d.total_mass
-    x = d.frame.x_mask
-    merged = dict(d.masses)
-    merged[x] = merged.get(x, 0.0) + residual
-    masses = dict(sorted(merged.items()))
-    return DNumber(d.frame, masses, completed=True)
+    residual = (d.frame.x_mask, 1.0 - d.total_mass)
+    return build_dnumber(d.frame, [*d.masses.items(), residual])
 
 
 def _require_completed(d: DNumber) -> None:

@@ -47,10 +47,13 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     errors.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentError([f"encoding error: {exc}"]) from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError([f"syntax error: {exc}"]) from None
     if not isinstance(doc, dict):
         raise DocumentError(["document root must be an object"])
@@ -87,7 +90,11 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
                 x_degrees[label] = float(degree)
 
     pairs: list[tuple[tuple[str, str], float]] = []
-    for k, entry in enumerate(doc.get("non_exclusivity", [])):
+    pair_entries = doc.get("non_exclusivity", [])
+    if not isinstance(pair_entries, list):
+        errors.append('"non_exclusivity" must be a list of pair entries')
+        pair_entries = []
+    for k, entry in enumerate(pair_entries):
         where = f"non_exclusivity[{k}]"
         if not isinstance(entry, dict) or "pair" not in entry or "degree" not in entry:
             errors.append(f'{where}: expected an object with "pair" and "degree"')
@@ -125,8 +132,9 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         if not subset:
             errors.append(f"{where}: mass on empty set: D(∅) must be 0")
             continue
-        if not isinstance(mass, (int, float)) or isinstance(mass, bool) or mass < 0:
-            errors.append(f"{where}: mass must be a nonnegative number, got {mass!r}")
+        if not _is_number(mass) or not 0.0 <= mass <= 1.0 + MASS_TOL:
+            errors.append(f"{where}: mass must be a nonnegative number "
+                          f"no greater than 1, got {mass!r}")
             continue
         bad = [x for x in subset if x != X_LABEL and x not in labels]
         if bad:
@@ -157,9 +165,12 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     return frame, d
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _valid_degree(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0.0 <= value <= 1.0)
+    return _is_number(value) and 0.0 <= value <= 1.0
 
 
 def document_dict(frame: Frame, d: DNumber) -> dict:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import dst
 from .core import BeliefInterval, DNumber, belief_interval, pl
 
 
@@ -78,18 +77,3 @@ def total_uncertainty(d: DNumber,
         uu_evaluated=evaluate_unknown(model, coeff, d.frame.unknown_cardinality),
     )
 
-
-def dst_ku_reference(bpa: DNumber) -> float:
-    """KU recomputed through the classical DST layer.
-
-    Independent re-derivation path for degeneration checks; only valid
-    when the input is a classical BPA.
-    """
-    masses = dst.mass_function(bpa)
-    terms = []
-    for label in bpa.frame.elements:
-        singleton = frozenset((label,))
-        lo = dst.bel_m(masses, singleton)
-        hi = dst.pl_m(masses, singleton)
-        terms.append(1.0 - math.sqrt(lo * lo + (hi - 1.0) * (hi - 1.0)))
-    return math.fsum(terms)

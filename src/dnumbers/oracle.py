@@ -1,4 +1,4 @@
-"""Brute-force reference measures, instance generation, and theorem checkers.
+"""Brute-force and DST reference measures, instance generation, theorem checkers.
 
 Everything here recomputes results by literal enumeration on small frames
 so the production routines in :mod:`.core` and :mod:`.measures` can be
@@ -148,6 +148,22 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
     return BeliefInterval(min(lower, 1.0), min(upper, 1.0))
 
 
+def dst_ku_reference(bpa: DNumber) -> float:
+    """KU recomputed through the classical DST layer.
+
+    Independent re-derivation path for degeneration checks; only valid
+    when the input is a classical BPA.
+    """
+    masses = dst.mass_function(bpa)
+    terms = []
+    for label in bpa.frame.elements:
+        singleton = frozenset((label,))
+        lo = dst.bel_m(masses, singleton)
+        hi = dst.pl_m(masses, singleton)
+        terms.append(1.0 - math.sqrt(lo * lo + (hi - 1.0) * (hi - 1.0)))
+    return math.fsum(terms)
+
+
 def check_range(trials: int, config: GeneratorConfig) -> CheckReport:
     """Theorem: 0 <= KU <= N and 0 <= UU coefficient <= 1."""
     report = CheckReport("range", trials)
@@ -255,7 +271,7 @@ def check_degeneration(trials: int, config: GeneratorConfig | None = None,
             for lo, hi in ((bel(d, a), pl(d, a)), (slow.lower, slow.upper)):
                 worst = max(worst, abs(lo - reference.lower),
                             abs(hi - reference.upper))
-        worst = max(worst, abs(measures.ku(d) - measures.dst_ku_reference(d)))
+        worst = max(worst, abs(measures.ku(d) - dst_ku_reference(d)))
         report.record(worst, ORACLE_TOL, _counterexample(d, trial=t))
     return report
 

@@ -93,6 +93,15 @@ class TestMeasure:
     def test_invalid_document(self, doc_path, capsys):
         assert cli.main(["measure", doc_path({"frame": ["a"], "masses": []})]) == 1
 
+    def test_nan_mass_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"frame": ["a", "b"], "masses": '
+                        '[{"set": ["a"], "mass": NaN}, {"set": ["b"], "mass": 0.5}]}')
+        assert cli.main(["measure", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "masses[0]" in captured.err
+
 
 class TestCheck:
     def test_all_green(self, capsys):
@@ -160,3 +169,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             cli.main(["check", "everything"])
         assert err.value.code == 3
+
+    @pytest.mark.parametrize("size", ["0", "7"])
+    def test_frame_size_out_of_range_exits_3(self, size, capsys):
+        assert cli.main(["check", "all", "--frame-size", size]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frame size" in captured.err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exits_3(self, trials, capsys):
+        assert cli.main(["check", "range", "--trials", trials]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "--trials" in captured.err
+
+    def test_model_needing_cardinality_exits_3(self, doc_path, capsys):
+        assert cli.main(["measure", doc_path(VACUOUS),
+                         "--unknown-model", "log2"]) == 3
+        assert "cardinality" in capsys.readouterr().err

@@ -105,10 +105,37 @@ class TestBuildDNumber:
         with pytest.raises(ValueError, match="empty set"):
             dn.build_dnumber(f, [(0, 0.5)])
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_mass(self, mass):
+        f = exclusive("ab")
+        with pytest.raises(ValueError, match="not finite"):
+            dn.build_dnumber(f, [(f.subset("a"), mass)])
+
     def test_duplicates_merged_zeros_dropped(self):
         f = exclusive("ab")
         d = dn.build_dnumber(f, [(1, 0.2), (1, 0.3), (2, 0.0)])
         assert d.masses == {1: 0.5}
+
+
+class TestReadOnlyTables:
+    def test_degrees_read_only(self):
+        f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
+        with pytest.raises(TypeError):
+            f.degrees[(0, 1)] = 1.0
+        assert f.lookup(0, 1) == 0.3
+
+    def test_masses_read_only(self):
+        f = exclusive("ab")
+        d = dn.complete(dn.build_dnumber(f, [(f.subset("a"), 0.5)]))
+        with pytest.raises(TypeError):
+            d.masses[f.subset("b")] = 0.5
+        assert dn.pl(d, f.subset("b")) == 0.0
+
+    def test_frame_copies_its_table(self):
+        table = {(0, 1): 0.3}
+        f = dn.Frame(("a", "b"), 2, table)
+        table[(0, 1)] = 1.0
+        assert f.lookup(0, 1) == 0.3
 
 
 class TestComplete:

@@ -74,6 +74,20 @@ def test_x_pair_in_top_level_list():
      '"masses": [{"set": ["a"], "mass": 1}]}', "1.2"),
     ('{"frame": ["a"], "unknown": {"cardinality": 1}, '
      '"masses": [{"set": ["a"], "mass": 1}]}', "cardinality"),
+    ('{"frame": ["a", "b"], "masses": [{"set": ["a"], "mass": NaN},'
+     ' {"set": ["b"], "mass": 0.5}]}', "masses[0]: mass must be"),
+    ('{"frame": ["a"], "masses": [{"set": ["a"], "mass": Infinity}]}',
+     "masses[0]: mass must be"),
+    ('{"frame": ["a"], "non_exclusivity": 5, "masses": [{"set": ["a"], "mass": 1}]}',
+     '"non_exclusivity" must be a list'),
+    ('{"frame": ["a"], "non_exclusivity": null, "masses": [{"set": ["a"], "mass": 1}]}',
+     '"non_exclusivity" must be a list'),
+    ('{"frame": ["\u00e9"], "masses": [{"set": ["\u00e9"], "mass": 1}]}'
+     .encode("latin-1"), "encoding error"),
+    pytest.param('{"frame": ["a"], "masses": [{"set": ["a"], "mass": 1'
+                 + "0" * 400 + '}]}', "masses[0]: mass must be",
+                 id="int-mass-beyond-float"),
+    pytest.param("[" * 100000, "syntax error", id="nesting-beyond-recursion-limit"),
 ])
 def test_rejections(doc, needle):
     with pytest.raises(DocumentError) as err:
