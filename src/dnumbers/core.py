@@ -117,7 +117,7 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
     is an integer >= 2 or the string "unknown". ``degrees`` is an iterable
     of ((label_a, label_b), p) pairs; labels may include the reserved "X".
     The symmetric closure is taken and identical-label pairs are forced
-    to degree 1.
+    to degree 1. A pair given twice must get the same degree, zero included.
     """
     labels = tuple(labels)
     if not labels:
@@ -139,7 +139,7 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
         if card < 2:
             raise ValueError("unknown cardinality must be at least 2")
 
-    table: dict[tuple[int, int], float] = {}
+    given: dict[tuple[int, int], float] = {}
     for (la, lb), p in degrees:
         p = float(p)
         if not 0.0 <= p <= 1.0:
@@ -150,11 +150,11 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
         i, j = sorted((index[la], index[lb]))
         if i == j:
             continue  # forced to 1, never stored
-        if table.get((i, j), p) != p:
+        if given.setdefault((i, j), p) != p:
             raise ValueError(f"conflicting degrees for pair ({la!r}, {lb!r})")
-        if p > 0.0:
-            table[i, j] = p
-    return Frame(labels, card, table)
+    for key in [key for key, p in given.items() if p == 0.0]:
+        del given[key]  # kept until here only to catch conflicting degrees
+    return Frame(labels, card, given)
 
 
 @dataclass(frozen=True)

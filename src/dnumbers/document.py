@@ -20,6 +20,8 @@ Canonical documents round-trip bit-exactly through serialize ∘ parse.
 from __future__ import annotations
 
 import json
+import sys
+from itertools import chain
 
 from .core import (
     MASS_TOL,
@@ -42,110 +44,89 @@ class DocumentError(ValueError):
 def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     """Parse and validate a document, returning the frame and raw D number.
 
-    All violations are collected and reported together. Duplicate mass
-    entries for the same set are rejected outright to surface authoring
-    errors.
+    All violations are collected and reported together. One inside an
+    entry or field names it (``frame[0]``, ``unknown.non_exclusivity['a']``,
+    ``non_exclusivity[2]``, ``masses[1]``, ``"unknown"``); one between
+    entries, such as two degrees for one pair, names the labels. Labels
+    must be valid Unicode text, and ``unknown.cardinality`` an integer
+    from 2 to ``sys.float_info.max``. An ``unknown.non_exclusivity`` item
+    ``{label: p}`` is checked as the pair entry ``([label, "X"], p)``, and
+    its key must be a frame label. Duplicate mass entries for the same set
+    are rejected outright to surface authoring errors.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DocumentError([f"encoding error: {exc}"]) from None
+    # ValueError covers malformed JSON and integers with too many digits
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError([f"syntax error: {exc}"]) from None
     if not isinstance(doc, dict):
         raise DocumentError(["document root must be an object"])
 
-    errors: list[str] = []
-
     labels = doc.get("frame")
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+    if not _labels(labels):
         raise DocumentError(['"frame" must be a list of strings'])
+    # JSON escapes can give lone surrogates, which UTF-8 cannot encode
+    errors = [f"frame[{k}]: label {label!r} is not valid Unicode text"
+              for k, label in enumerate(labels)
+              if any("\ud800" <= c <= "\udfff" for c in label)]
+    known = {*labels, X_LABEL}
 
-    cardinality = "unknown"
-    x_degrees: dict[str, float] = {}
     unknown = doc.get("unknown")
-    if unknown is not None:
-        if not isinstance(unknown, dict):
-            errors.append('"unknown" must be an object')
-            unknown = {}
-        if "cardinality" in unknown:
-            card = unknown["cardinality"]
-            if not isinstance(card, int) or card < 2:
-                errors.append(f'"unknown.cardinality" must be an integer >= 2, got {card!r}')
-            else:
-                cardinality = card
-        ne = unknown.get("non_exclusivity", {})
-        if not isinstance(ne, dict):
-            errors.append('"unknown.non_exclusivity" must map labels to degrees')
-            ne = {}
-        for label, degree in ne.items():
-            if not _valid_degree(degree):
-                errors.append(f'degree {degree!r} for pair ({label!r}, "X") outside [0, 1]')
-            elif label not in labels:
-                errors.append(f'unknown label {label!r} in "unknown.non_exclusivity"')
-            else:
-                x_degrees[label] = float(degree)
+    unknown = {} if unknown is None else _object(errors, unknown, "unknown")
+    cardinality = unknown.get("cardinality", "unknown")
+    if "cardinality" in unknown and not (
+            isinstance(cardinality, int) and 2 <= cardinality <= sys.float_info.max):
+        errors.append(f'"unknown.cardinality" must be an integer from 2 to '
+                      f'{sys.float_info.max!r}, got {cardinality!r}')
 
+    x_degrees = _object(errors, unknown.get("non_exclusivity", {}),
+                        "unknown.non_exclusivity")
+    if X_LABEL in x_degrees:  # keys name frame elements, and X is not one
+        errors.append(f"unknown.non_exclusivity[{X_LABEL!r}]: "
+                      f"unknown label {X_LABEL!r}")
+    x_entries = ((f"unknown.non_exclusivity[{label!r}]", [label, X_LABEL], p)
+                 for label, p in x_degrees.items() if label != X_LABEL)
+    pair_entries = ((where, entry["pair"], entry["degree"]) for where, entry in
+                    _entries(errors, doc.get("non_exclusivity", []),
+                             "non_exclusivity", "pair", "degree"))
     pairs: list[tuple[tuple[str, str], float]] = []
-    pair_entries = doc.get("non_exclusivity", [])
-    if not isinstance(pair_entries, list):
-        errors.append('"non_exclusivity" must be a list of pair entries')
-        pair_entries = []
-    for k, entry in enumerate(pair_entries):
-        where = f"non_exclusivity[{k}]"
-        if not isinstance(entry, dict) or "pair" not in entry or "degree" not in entry:
-            errors.append(f'{where}: expected an object with "pair" and "degree"')
-            continue
-        pair, degree = entry["pair"], entry["degree"]
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, str) for x in pair)):
+    for where, pair, degree in chain(x_entries, pair_entries):
+        if not (_labels(pair) and len(pair) == 2):
             errors.append(f'{where}: "pair" must be two labels')
-            continue
-        if not _valid_degree(degree):
-            errors.append(f'{where}: degree {degree!r} for pair {tuple(pair)} outside [0, 1]')
-            continue
-        for label in pair:
-            if label != X_LABEL and label not in labels:
-                errors.append(f'{where}: unknown label {label!r}')
-                break
+        elif not _is_number(degree) or not 0.0 <= degree <= 1.0:
+            errors.append(f"{where}: degree {degree!r} outside [0, 1]")
+        elif bad := [x for x in pair if x not in known]:
+            errors.append(f"{where}: unknown label {bad[0]!r}")
         else:
             pairs.append(((pair[0], pair[1]), float(degree)))
 
-    mass_entries: list[tuple[list[str], float]] = []
-    seen_sets: set[frozenset] = set()
     raw_masses = doc.get("masses")
-    if not isinstance(raw_masses, list) or not raw_masses:
+    if not raw_masses:
         errors.append('"masses" must be a nonempty list')
         raw_masses = []
-    for k, entry in enumerate(raw_masses):
-        where = f"masses[{k}]"
-        if not isinstance(entry, dict) or "set" not in entry or "mass" not in entry:
-            errors.append(f'{where}: expected an object with "set" and "mass"')
-            continue
+    mass_entries: list[tuple[list[str], float]] = []
+    seen_sets: set[frozenset] = set()
+    for where, entry in _entries(errors, raw_masses, "masses", "set", "mass"):
         subset, mass = entry["set"], entry["mass"]
-        if not (isinstance(subset, list) and all(isinstance(x, str) for x in subset)):
+        if not _labels(subset):
             errors.append(f'{where}: "set" must be a list of labels')
-            continue
-        if not subset:
+        elif not subset:
             errors.append(f"{where}: mass on empty set: D(∅) must be 0")
-            continue
-        if not _is_number(mass) or not 0.0 <= mass <= 1.0 + MASS_TOL:
+        elif not _is_number(mass) or not 0.0 <= mass <= 1.0 + MASS_TOL:
             errors.append(f"{where}: mass must be a nonnegative number "
                           f"no greater than 1, got {mass!r}")
-            continue
-        bad = [x for x in subset if x != X_LABEL and x not in labels]
-        if bad:
-            errors.append(f"{where}: unknown label {bad[0]!r} in set")
-            continue
-        key = frozenset(subset)
-        if key in seen_sets:
+        elif bad := [x for x in subset if x not in known]:
+            errors.append(f"{where}: unknown label {bad[0]!r}")
+        elif (key := frozenset(subset)) in seen_sets:
             errors.append(f"{where}: duplicate entry for set {sorted(subset)}")
-            continue
-        seen_sets.add(key)
-        mass_entries.append((subset, float(mass)))
+        else:
+            seen_sets.add(key)
+            mass_entries.append((subset, float(mass)))
 
     total = sum(m for _, m in mass_entries)
     if total > 1.0 + MASS_TOL:
@@ -155,22 +136,41 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         raise DocumentError(errors)
 
     try:
-        frame = build_frame(
-            labels, cardinality,
-            pairs + [((label, X_LABEL), p) for label, p in x_degrees.items()],
-        )
+        frame = build_frame(labels, cardinality, pairs)
         d = build_dnumber(frame, [(frame.subset(s), m) for s, m in mass_entries])
     except ValueError as exc:
         raise DocumentError([str(exc)]) from None
     return frame, d
 
 
+def _object(errors: list[str], value, name: str) -> dict:
+    """``value`` if it is a JSON object; otherwise record an error and give {}."""
+    if isinstance(value, dict):
+        return value
+    errors.append(f'"{name}" must be an object')
+    return {}
+
+
+def _entries(errors: list[str], value, name: str, first: str, second: str):
+    """Yield (location, entry) for each object in the list ``value`` that has
+    the fields ``first`` and ``second``; record an error for anything else."""
+    if not isinstance(value, list):
+        errors.append(f'"{name}" must be a list')
+        return
+    for k, entry in enumerate(value):
+        where = f"{name}[{k}]"
+        if isinstance(entry, dict) and first in entry and second in entry:
+            yield where, entry
+        else:
+            errors.append(f'{where}: expected an object with "{first}" and "{second}"')
+
+
+def _labels(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _valid_degree(value) -> bool:
-    return _is_number(value) and 0.0 <= value <= 1.0
 
 
 def document_dict(frame: Frame, d: DNumber) -> dict:

@@ -234,7 +234,9 @@ def check_set_consistency(frame: Frame) -> CheckReport:
         d = complete(build_dnumber(frame, [(a, 1.0)]))
         size = sum(1 for _ in iter_indices(a))
         outside = [i for i in range(frame.size) if not a >> i & 1]
-        degree_sum = math.fsum(frame.nonexclusivity(1 << i, a) for i in outside)
+        # from the stored degrees: Frame.nonexclusivity is what KU is checked on
+        degree_sum = math.fsum(max(frame.lookup(i, j) for j in iter_indices(a))
+                               for i in outside)
         observed = measures.ku(d)
         if size == 1:
             report.notes.append(

@@ -102,6 +102,23 @@ class TestMeasure:
         assert captured.out == ""
         assert "masses[0]" in captured.err
 
+    def test_lone_surrogate_label_is_a_validation_error(self, doc_path, capsys):
+        path = doc_path({"frame": ["\ud800"],
+                         "masses": [{"set": ["\ud800"], "mass": 1}]})
+        for command in ("validate", "measure"):
+            assert cli.main([command, path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "frame[0]" in captured.err
+
+    def test_cardinality_beyond_float_is_a_validation_error(self, doc_path, capsys):
+        path = doc_path({"frame": ["a"], "unknown": {"cardinality": 10 ** 400},
+                         "masses": [{"set": ["a"], "mass": 1}]})
+        assert cli.main(["measure", path, "--unknown-model", "cardinality"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown.cardinality" in captured.err
+
 
 class TestCheck:
     def test_all_green(self, capsys):
@@ -126,6 +143,11 @@ class TestCheck:
         written = list((tmp_path / "cx").glob("oracle-*.json"))
         assert written
         json.loads(written[0].read_text())
+
+    def test_mutated_nonexclusivity_fails_set_consistency(self, capsys, monkeypatch):
+        monkeypatch.setattr(Frame, "nonexclusivity", lambda self, a, b: 1.0)
+        assert cli.main(["check", "set-consistency", "--seed", "1"]) == 2
+        assert "FAIL set-consistency" in capsys.readouterr().out
 
 
 class TestGen:

@@ -52,6 +52,15 @@ class TestBuildFrame:
         assert f.lookup(0, f.x_index) == 0.7
         assert f.unknown_cardinality is None
 
+    @pytest.mark.parametrize("first,second", [(0.0, 0.5), (0.5, 0.0)])
+    def test_conflicting_degrees_in_either_order(self, first, second):
+        with pytest.raises(ValueError, match="conflicting degrees"):
+            dn.build_frame("ab", 2, [(("a", "b"), first), (("b", "a"), second)])
+
+    def test_repeated_zero_degree_is_not_stored(self):
+        f = dn.build_frame("ab", 2, [(("a", "b"), 0.0), (("a", "b"), 0.0)])
+        assert dict(f.degrees) == {}
+
 
 class TestNonexclusivity:
     def test_intersecting_sets_give_one(self):

@@ -11,6 +11,7 @@ from conftest import raw_dnumbers
 
 MINIMAL = json.dumps({"frame": ["a", "b"],
                       "masses": [{"set": ["a", "b"], "mass": 1}]})
+ONE_MASS = '"masses": [{"set": ["a"], "mass": 1}]}'
 
 
 def test_minimal_vacuous():
@@ -88,6 +89,47 @@ def test_x_pair_in_top_level_list():
                  + "0" * 400 + '}]}', "masses[0]: mass must be",
                  id="int-mass-beyond-float"),
     pytest.param("[" * 100000, "syntax error", id="nesting-beyond-recursion-limit"),
+    pytest.param('{"frame": ["a"], "unknown": 5, ' + ONE_MASS,
+                 '"unknown" must be an object', id="unknown-not-object"),
+    pytest.param('{"frame": ["a"], "unknown": {"non_exclusivity": [0.5]}, ' + ONE_MASS,
+                 '"unknown.non_exclusivity" must be an object',
+                 id="x-degrees-not-object"),
+    pytest.param('{"frame": ["a"], "unknown": {"non_exclusivity": {"a": 1.5}}, '
+                 + ONE_MASS, "unknown.non_exclusivity['a']: degree 1.5 outside [0, 1]",
+                 id="x-degree-out-of-range"),
+    pytest.param('{"frame": ["a"], "unknown": {"non_exclusivity": {"z": 0.5}}, '
+                 + ONE_MASS, "unknown.non_exclusivity['z']: unknown label 'z'",
+                 id="x-key-not-a-label"),
+    pytest.param('{"frame": ["a"], "unknown": {"non_exclusivity": {"X": 0.5}}, '
+                 + ONE_MASS, "unknown.non_exclusivity['X']: unknown label 'X'",
+                 id="x-key-is-x"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": '
+                 '[{"pair": ["a"], "degree": 0.5}], ' + ONE_MASS,
+                 'non_exclusivity[0]: "pair" must be two labels',
+                 id="pair-not-two-labels"),
+    pytest.param('{"frame": ["a"], "non_exclusivity": [5], ' + ONE_MASS,
+                 'non_exclusivity[0]: expected an object with "pair" and "degree"',
+                 id="pair-entry-not-object"),
+    pytest.param('{"frame": ["a"], "masses": [5]}',
+                 'masses[0]: expected an object with "set" and "mass"',
+                 id="mass-entry-not-object"),
+    pytest.param('{"frame": ["a"], "masses": [{"set": "a", "mass": 1}]}',
+                 'masses[0]: "set" must be a list of labels', id="set-not-a-list"),
+    pytest.param(r'{"frame": ["\ud800"], "masses": [{"set": ["\ud800"], "mass": 1}]}',
+                 "frame[0]: label '\\ud800' is not valid Unicode text",
+                 id="lone-surrogate-label"),
+    pytest.param('{"frame": ["a"], "unknown": {"cardinality": 1' + "0" * 400 + '}, '
+                 + ONE_MASS, '"unknown.cardinality" must be an integer from 2 to '
+                 '1.7976931348623157e+308', id="cardinality-beyond-float"),
+    pytest.param('{"frame": ["a"], "masses": [{"set": ["a"], "mass": 1'
+                 + "0" * 5000 + '}]}', "syntax error", id="int-beyond-digit-limit"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": '
+                 '[{"pair": ["a", "b"], "degree": 0}, '
+                 '{"pair": ["b", "a"], "degree": 0.5}], ' + ONE_MASS,
+                 "conflicting degrees", id="zero-then-positive-degree"),
+    pytest.param('{"frame": ["a"], "unknown": {"non_exclusivity": {"a": 0}}, '
+                 '"non_exclusivity": [{"pair": ["a", "X"], "degree": 0.5}], '
+                 + ONE_MASS, "conflicting degrees", id="x-degree-given-twice"),
 ])
 def test_rejections(doc, needle):
     with pytest.raises(DocumentError) as err:
