@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
+import unicodedata
 from itertools import chain
 
 from .core import (
@@ -48,11 +49,13 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     entry or field names it (``frame[0]``, ``unknown.non_exclusivity['a']``,
     ``non_exclusivity[2]``, ``masses[1]``, ``"unknown"``); one between
     entries, such as two degrees for one pair, names the labels. Labels
-    must be valid Unicode text, and ``unknown.cardinality`` an integer
-    from 2 to ``sys.float_info.max``. An ``unknown.non_exclusivity`` item
-    ``{label: p}`` is checked as the pair entry ``([label, "X"], p)``, and
-    its key must be a frame label. Duplicate mass entries for the same set
-    are rejected outright to surface authoring errors.
+    must be nonempty, unique, other than "X", valid Unicode text, and free
+    of control characters and "|"; ``unknown.cardinality`` must be an
+    integer from 2 to ``sys.float_info.max``. An
+    ``unknown.non_exclusivity`` item ``{label: p}`` is checked as the pair
+    entry ``([label, "X"], p)``, and its key must be a frame label.
+    Duplicate mass entries for the same set are rejected outright to
+    surface authoring errors.
     """
     if isinstance(text, bytes):
         try:
@@ -70,11 +73,25 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     labels = doc.get("frame")
     if not _labels(labels):
         raise DocumentError(['"frame" must be a list of strings'])
-    # JSON escapes can give lone surrogates, which UTF-8 cannot encode
-    errors = [f"frame[{k}]: label {label!r} is not valid Unicode text"
-              for k, label in enumerate(labels)
-              if any("\ud800" <= c <= "\udfff" for c in label)]
-    known = {*labels, X_LABEL}
+    errors: list[str] = []
+    known = {X_LABEL}
+    for k, label in enumerate(labels):
+        # JSON escapes can give lone surrogates, which UTF-8 cannot encode
+        if any("\ud800" <= c <= "\udfff" for c in label):
+            errors.append(f"frame[{k}]: label {label!r} is not valid Unicode text")
+        elif not label:
+            errors.append(f"frame[{k}]: label must be nonempty")
+        elif label == X_LABEL:
+            errors.append(f"frame[{k}]: label {X_LABEL!r} is reserved for "
+                          f"the unknown element")
+        elif label in known:
+            errors.append(f"frame[{k}]: duplicate label {label!r}")
+        # splits a table row; the csv writer leaves a lone "\r" unquoted
+        elif any(unicodedata.category(c) == "Cc" for c in label):
+            errors.append(f"frame[{k}]: label {label!r} contains a control character")
+        elif "|" in label:  # --subsets all joins labels with "|"
+            errors.append(f"frame[{k}]: label {label!r} contains '|'")
+        known.add(label)
 
     unknown = doc.get("unknown")
     unknown = {} if unknown is None else _object(errors, unknown, "unknown")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -18,6 +20,58 @@ def doc_path(tmp_path):
 
 VACUOUS = {"frame": ["a", "b"], "masses": [{"set": ["a", "b"], "mass": 1}]}
 INCOMPLETE = {"frame": ["a", "b"], "masses": [{"set": ["a"], "mass": 0.6}]}
+# X degrees, a cardinality, and masses that sum to 0.75
+GOLDEN = {"frame": ["a", "b"],
+          "unknown": {"cardinality": 4, "non_exclusivity": {"a": 0.25}},
+          "non_exclusivity": [{"pair": ["a", "b"], "degree": 0.5}],
+          "masses": [{"set": ["a"], "mass": 0.5}, {"set": ["b", "X"], "mass": 0.25}]}
+GOLDEN_OUTPUT = {
+    "table": """\
+element        bel         pl       term
+a        0.5000000  0.6875000  0.4103762
+b        0.0000000  0.5000000  0.5000000
+
+subset intervals:
+  {a}: [0.5000000, 0.6875000]
+  {b}: [0.0000000, 0.5000000]
+  {a|b}: [0.5000000, 0.8125000]
+  {X}: [0.2500000, 0.6250000]
+  {a|X}: [0.7500000, 1.0000000]
+  {b|X}: [0.5000000, 0.7500000]
+  {a|b|X}: [1.0000000, 1.0000000]
+
+auto-completed: mass 0.2500000 assigned to {X}
+KU = 0.9103762
+UU coefficient = 0.6250000
+UU (log2) = 1.2500000
+TU = (0.9103762, 0.6250000)
+""",
+    "csv": """\
+element,bel,pl,term
+a,0.5,0.6875,0.4103761792464623
+b,0.0,0.5,0.5
+a,0.5,0.6875,
+b,0.0,0.5,
+a|b,0.5,0.8125,
+X,0.25,0.625,
+a|X,0.75,1.0,
+b|X,0.5,0.75,
+a|b|X,1.0,1.0,
+""",
+    "json-lines": """\
+{"element": "a", "bel": 0.5, "pl": 0.6875, "term": 0.4103761792464623}
+{"element": "b", "bel": 0.0, "pl": 0.5, "term": 0.5}
+{"set": "a", "bel": 0.5, "pl": 0.6875}
+{"set": "b", "bel": 0.0, "pl": 0.5}
+{"set": "a|b", "bel": 0.5, "pl": 0.8125}
+{"set": "X", "bel": 0.25, "pl": 0.625}
+{"set": "a|X", "bel": 0.75, "pl": 1.0}
+{"set": "b|X", "bel": 0.5, "pl": 0.75}
+{"set": "a|b|X", "bel": 1.0, "pl": 1.0}
+{"ku": 0.9103761792464623, "uu_coefficient": 0.625, "uu_evaluated": 1.25, \
+"completion_mass": 0.25}
+""",
+}
 
 
 class TestValidate:
@@ -119,6 +173,35 @@ class TestMeasure:
         assert captured.out == ""
         assert "unknown.cardinality" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    def test_golden_output(self, doc_path, capsys, fmt):
+        assert cli.main(["measure", doc_path(GOLDEN), "--unknown-model", "log2",
+                         "--subsets", "all", "--output", fmt]) == 0
+        assert capsys.readouterr().out == GOLDEN_OUTPUT[fmt]
+
+    @pytest.mark.parametrize("subsets", ["singletons", "all"])
+    def test_csv_quotes_labels(self, doc_path, capsys, subsets):
+        labels = ["a,b", 'c"d', "e"]
+        doc = {"frame": labels, "masses": [{"set": ["a,b"], "mass": 0.5}]}
+        assert cli.main(["measure", doc_path(doc), "--output", "csv",
+                         "--subsets", subsets]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert all(len(row) == 4 for row in rows)
+        names = labels
+        if subsets == "all":
+            frame, _ = dn.parse_document(json.dumps(doc))
+            names = labels + ["|".join(frame.labels_of(a))
+                              for a in range(1, frame.full_mask + 1)]
+        assert [row[0] for row in rows[1:]] == names
+
+    def test_label_and_mass_violations_reported_together(self, doc_path, capsys):
+        path = doc_path({"frame": ["a", ""],
+                         "masses": [{"set": ["z"], "mass": 0.5}]})
+        assert cli.main(["measure", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frame[1]" in captured.err and "masses[0]" in captured.err
+
 
 class TestCheck:
     def test_all_green(self, capsys):
@@ -210,3 +293,11 @@ class TestUsage:
         assert cli.main(["measure", doc_path(VACUOUS),
                          "--unknown-model", "log2"]) == 3
         assert "cardinality" in capsys.readouterr().err
+
+    def test_all_subsets_beyond_cap_exits_3(self, doc_path, capsys):
+        path = doc_path({"frame": list("abcdefg"),
+                         "masses": [{"set": ["a"], "mass": 1}]})
+        assert cli.main(["measure", path, "--subsets", "all"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--subsets all" in captured.err

@@ -130,6 +130,24 @@ def test_x_pair_in_top_level_list():
     pytest.param('{"frame": ["a"], "unknown": {"non_exclusivity": {"a": 0}}, '
                  '"non_exclusivity": [{"pair": ["a", "X"], "degree": 0.5}], '
                  + ONE_MASS, "conflicting degrees", id="x-degree-given-twice"),
+    pytest.param('{"frame": ["a", ""], ' + ONE_MASS,
+                 "frame[1]: label must be nonempty", id="empty-label"),
+    pytest.param('{"frame": ["a", "X"], ' + ONE_MASS,
+                 "frame[1]: label 'X' is reserved for the unknown element",
+                 id="reserved-label"),
+    pytest.param('{"frame": ["a", "b", "a"], ' + ONE_MASS,
+                 "frame[2]: duplicate label 'a'", id="duplicate-label"),
+    pytest.param('{"frame": ["a", "b\\nc"], ' + ONE_MASS,
+                 "frame[1]: label 'b\\nc' contains a control character",
+                 id="newline-in-label"),
+    pytest.param('{"frame": ["a", "b\\rc"], ' + ONE_MASS,
+                 "frame[1]: label 'b\\rc' contains a control character",
+                 id="carriage-return-in-label"),
+    pytest.param('{"frame": ["a", "b\\u0085"], ' + ONE_MASS,
+                 "frame[1]: label 'b\\x85' contains a control character",
+                 id="c1-control-in-label"),
+    pytest.param('{"frame": ["a", "a|b", "b"], ' + ONE_MASS,
+                 "frame[1]: label 'a|b' contains '|'", id="pipe-in-label"),
 ])
 def test_rejections(doc, needle):
     with pytest.raises(DocumentError) as err:
