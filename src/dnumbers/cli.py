@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import belief_interval, complete
@@ -153,8 +153,7 @@ def _run_suite(name: str, trials: int, config: GeneratorConfig) -> CheckReport:
         frame, _ = generate_raw(config)
         return check_set_consistency(frame)
     if name == "degeneration":
-        return check_degeneration(trials, replace(
-            config, completeness="complete", exclusivity="exclusive"))
+        return check_degeneration(trials, config)
     return check_oracle_equivalence(trials, config)
 
 

@@ -254,10 +254,6 @@ class BeliefInterval:
                 and self.upper <= 1.0 + MASS_TOL):
             raise ValueError(f"malformed belief interval [{self.lower}, {self.upper}]")
 
-    def contains(self, other: "BeliefInterval", tol: float = 1e-12) -> bool:
-        return (self.lower <= other.lower + tol
-                and other.upper <= self.upper + tol)
-
 
 def belief_interval(d: DNumber, a: int) -> BeliefInterval:
     """Belief interval [bel, pl] of subset ``a``."""

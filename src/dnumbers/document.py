@@ -50,10 +50,11 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     ``non_exclusivity[2]``, ``masses[1]``, ``"unknown"``); one between
     entries, such as two degrees for one pair, names the labels. Labels
     must be nonempty, unique, other than "X", valid Unicode text, and free
-    of control characters and "|"; ``unknown.cardinality`` must be an
-    integer from 2 to ``sys.float_info.max``. An
-    ``unknown.non_exclusivity`` item ``{label: p}`` is checked as the pair
-    entry ``([label, "X"], p)``, and its key must be a frame label.
+    of control characters, line and paragraph separators, and "|";
+    ``unknown.cardinality`` must be an integer from 2 to
+    ``sys.float_info.max``. An ``unknown.non_exclusivity`` item
+    ``{label: p}`` is checked as the pair entry ``([label, "X"], p)``, and
+    its key must be a frame label.
     Duplicate mass entries for the same set are rejected outright to
     surface authoring errors.
     """
@@ -89,6 +90,10 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         # splits a table row; the csv writer leaves a lone "\r" unquoted
         elif any(unicodedata.category(c) == "Cc" for c in label):
             errors.append(f"frame[{k}]: label {label!r} contains a control character")
+        # U+2028, U+2029: the line breaks str.splitlines() knows beyond Cc
+        elif any(unicodedata.category(c) in ("Zl", "Zp") for c in label):
+            errors.append(f"frame[{k}]: label {label!r} contains a line or "
+                          f"paragraph separator")
         elif "|" in label:  # --subsets all joins labels with "|"
             errors.append(f"frame[{k}]: label {label!r} contains '|'")
         known.add(label)

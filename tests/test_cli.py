@@ -5,7 +5,7 @@ import json
 import pytest
 
 import dnumbers as dn
-from dnumbers import cli
+from dnumbers import cli, core
 from dnumbers.core import Frame
 
 
@@ -231,6 +231,21 @@ class TestCheck:
         monkeypatch.setattr(Frame, "nonexclusivity", lambda self, a, b: 1.0)
         assert cli.main(["check", "set-consistency", "--seed", "1"]) == 2
         assert "FAIL set-consistency" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["monotonicity", "all"])
+    def test_mutated_bel_fails_monotonicity(self, suite, capsys, monkeypatch):
+        # charge every proper subset the mass on the whole frame as well:
+        # only the vacuous blends put mass there, and their intervals stop
+        # nesting around the instance's
+        bel = core.bel
+
+        def charged(d, a):
+            whole = d.frame.full_mask
+            return bel(d, a) + (d.masses.get(whole, 0.0) if 0 < a < whole else 0.0)
+        monkeypatch.setattr(core, "bel", charged)
+        assert cli.main(["check", suite, "--trials", "50", "--seed", "1"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL monotonicity: trials=50 failures=50" in out
 
 
 class TestGen:

@@ -148,6 +148,12 @@ def test_x_pair_in_top_level_list():
                  id="c1-control-in-label"),
     pytest.param('{"frame": ["a", "a|b", "b"], ' + ONE_MASS,
                  "frame[1]: label 'a|b' contains '|'", id="pipe-in-label"),
+    pytest.param('{"frame": ["a", "b\\u2028c"], ' + ONE_MASS,
+                 "frame[1]: label 'b\\u2028c' contains a line or paragraph "
+                 "separator", id="line-separator-in-label"),
+    pytest.param('{"frame": ["a", "b\\u2029c"], ' + ONE_MASS,
+                 "frame[1]: label 'b\\u2029c' contains a line or paragraph "
+                 "separator", id="paragraph-separator-in-label"),
 ])
 def test_rejections(doc, needle):
     with pytest.raises(DocumentError) as err:

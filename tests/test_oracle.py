@@ -93,8 +93,12 @@ class TestCheckers:
     def test_monotonicity_trivial_pairs(self):
         f, d = make("abc", [("a", 0.2), ("bc", 0.5)])
         vacuous = dn.build_dnumber(f, [(f.full_mask, 1.0)])
-        assert oracle._intervals_nested(d, vacuous)
-        assert oracle._intervals_nested(d, d)
+        # blend weights 0 and 1 give the instance itself and the vacuous one
+        assert oracle._mix_with_vacuous(d, 0.0) == d
+        assert oracle._mix_with_vacuous(d, 1.0) == vacuous
+        for a in range(1, f.full_mask + 1):
+            inner, outer = dn.belief_interval(d, a), dn.belief_interval(vacuous, a)
+            assert outer.lower <= inner.lower and inner.upper <= outer.upper
         assert dn.ku(vacuous) == pytest.approx(3.0, abs=1e-12)
 
     def test_set_consistency_exclusive(self):
@@ -120,7 +124,8 @@ class TestCheckers:
         assert dn.ku(d) == pytest.approx(0.0, abs=1e-9)  # not the formula's 1
 
     def test_degeneration_green(self):
-        report = oracle.check_degeneration(200)
+        report = oracle.check_degeneration(
+            200, oracle.GeneratorConfig(frame_size=4, focal_count=5))
         assert report.ok
         assert report.max_violation <= 1e-12
 
@@ -132,6 +137,29 @@ class TestCheckers:
     def test_counterexamples_serialize(self):
         report = oracle.CheckReport("demo", trials=1)
         f, d = make("ab", [("a", 0.6)])
-        report.record(1.0, 1e-9, oracle._counterexample(d, trial=0))
+        report.record(1.0, 1e-9, d, trial=0)
         assert not report.ok
         assert report.failures[0]["frame"] == ["a", "b"]
+
+    def test_record_builds_documents_only_for_failures(self, monkeypatch):
+        built = []
+        document_dict = oracle.document_dict
+        monkeypatch.setattr(oracle, "document_dict",
+                            lambda frame, d: built.append(d) or document_dict(frame, d))
+        f, d = make("ab", [("a", 0.6)])
+        pair = oracle._mix_with_vacuous(d, 0.5)
+        report = oracle.CheckReport("demo", trials=2)
+        report.record(1e-10, 1e-9, d, trial=0, pair=pair)
+        assert report.ok and built == []
+        assert report.max_violation == 1e-10
+        report.record(1.0, 1e-9, d, trial=1, pair=pair)
+        assert not report.ok and report.max_violation == 1.0
+        doc = report.failures[0]
+        assert doc["frame"] == ["a", "b"] and doc["trial"] == 1
+        assert doc["pair"] == document_dict(f, pair)
+
+    def test_degeneration_forces_classical_bpas(self):
+        config = oracle.GeneratorConfig(frame_size=3, focal_count=3, seed=2)
+        report = oracle.check_degeneration(50, config)
+        assert report.ok and report.trials == 50
+        assert report.max_violation <= 1e-12
