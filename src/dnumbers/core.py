@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 #: Tolerance for mass-sum validation.
@@ -24,18 +24,45 @@ X_LABEL = "X"
 class Frame:
     """Ordered element labels, the unknown element X, and pairwise degrees.
 
-    ``degrees`` is a read-only copy of a map from index pairs (i, j), i < j,
-    to a non-exclusivity degree in (0, 1]; index ``len(elements)`` stands
-    for X. Absent pairs default to 0 (pure exclusivity). Instances are
-    immutable, degree table included; build them with :func:`build_frame`.
+    ``degrees`` is a read-only copy of a map from index pairs (i, j),
+    0 <= i < j <= N, to a non-exclusivity degree in (0, 1]; index
+    N = ``len(elements)`` stands for X. Absent pairs default to 0 (pure
+    exclusivity); any other key or degree raises ``ValueError``.
+
+    ``adjacency`` is derived from ``degrees`` once, when the frame is
+    made: for each index 0..N, X included, the bitmask of its stored
+    neighbours and a read-only map from neighbour index to degree. It
+    takes no part in equality or ``repr``. :meth:`nonexclusivity` reads
+    it, so a call on disjoint sets costs one mask intersection per member
+    of the smaller set plus one read per stored pair between the sets.
+    :meth:`lookup` reads ``degrees``, which keeps it an independent route
+    for the oracle. Instances are immutable, tables included; build them
+    with :func:`build_frame`.
     """
 
     elements: tuple[str, ...]
     unknown_cardinality: int | None
     degrees: Mapping[tuple[int, int], float]
+    adjacency: tuple[tuple[int, Mapping[int, float]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", MappingProxyType(dict(self.degrees)))
+        degrees = dict(self.degrees)
+        x = len(self.elements)
+        rows: list[dict[int, float]] = [{} for _ in range(x + 1)]
+        for key, p in degrees.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(k, int) for k in key)
+                    and 0 <= key[0] < key[1] <= x):
+                raise ValueError(f"degree key {key!r} is not a pair (i, j) "
+                                 f"with 0 <= i < j <= {x}")
+            if not (isinstance(p, (int, float)) and 0.0 < p <= 1.0):
+                raise ValueError(f"degree {p!r} for pair {key} outside (0, 1]")
+            i, j = key
+            rows[i][j] = rows[j][i] = p
+        object.__setattr__(self, "degrees", MappingProxyType(degrees))
+        object.__setattr__(self, "adjacency", tuple(
+            (sum(1 << j for j in row), MappingProxyType(row)) for row in rows))
 
     @property
     def size(self) -> int:
@@ -70,14 +97,30 @@ class Frame:
         """Non-exclusivity degree between two nonempty subsets.
 
         1 whenever the subsets intersect; otherwise the maximum stored
-        degree over all element pairs drawn from the two sets.
+        degree over all element pairs drawn from the two sets, 0 when no
+        pair is stored.
         """
         if a == 0 or b == 0:
             raise ValueError("non-exclusivity is undefined for the empty set")
         if a & b:
             return 1.0
-        return max(self.lookup(i, j)
-                   for i in iter_indices(a) for j in iter_indices(b))
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        # iter_indices inlined twice: this is the inner loop of every Pl
+        best = 0.0
+        adjacency = self.adjacency
+        while a:
+            low = a & -a
+            neighbours, row = adjacency[low.bit_length() - 1]
+            hits = b & neighbours
+            while hits:
+                bit = hits & -hits
+                p = row[bit.bit_length() - 1]
+                if p > best:
+                    best = p
+                hits ^= bit
+            a ^= low
+        return best
 
     def index_of(self, label: str) -> int:
         if label == X_LABEL:
@@ -270,4 +313,4 @@ def is_bpa(d: DNumber) -> bool:
         return False
     if any(m & d.frame.x_mask for m in d.masses):
         return False
-    return all(v == 0.0 for v in d.frame.degrees.values())
+    return not d.frame.degrees

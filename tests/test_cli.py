@@ -227,6 +227,22 @@ class TestCheck:
         assert written
         json.loads(written[0].read_text())
 
+    def test_mutated_adjacency_fails_oracle(self, capsys, monkeypatch):
+        # drop every pair with X from the adjacency but not from ``degrees``,
+        # which the oracle reads through ``lookup``
+        post_init = Frame.__post_init__
+
+        def without_x(self):
+            post_init(self)
+            x = self.x_index
+            object.__setattr__(self, "adjacency", tuple(
+                (0, {}) if i == x else
+                (mask & ~self.x_mask, {j: p for j, p in row.items() if j != x})
+                for i, (mask, row) in enumerate(self.adjacency)))
+        monkeypatch.setattr(Frame, "__post_init__", without_x)
+        assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == 2
+        assert "FAIL oracle" in capsys.readouterr().out
+
     def test_mutated_nonexclusivity_fails_set_consistency(self, capsys, monkeypatch):
         monkeypatch.setattr(Frame, "nonexclusivity", lambda self, a, b: 1.0)
         assert cli.main(["check", "set-consistency", "--seed", "1"]) == 2

@@ -1,7 +1,9 @@
 import math
+import random
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import dnumbers as dn
 from dnumbers.core import iter_indices
@@ -14,6 +16,19 @@ def exclusive(labels):
 
 
 class TestBuildFrame:
+    @pytest.mark.parametrize("degrees", [
+        {(5, 9): 0.5}, {(0, 3): 0.5}, {(1, 0): 0.5}, {(0, 0): 0.5},
+        {(-1, 1): 0.5}, {(0, 1, 2): 0.5}, {"ab": 0.5}, {(0.0, 1): 0.5},
+        {(0, 1): 0.0}, {(0, 1): -0.5}, {(0, 1): 1.5}, {(0, 1): math.nan},
+        {(0, 1): "0.5"}])
+    def test_malformed_degree_table(self, degrees):
+        with pytest.raises(ValueError, match="degree"):
+            dn.Frame(("a", "b"), 2, degrees)
+
+    def test_degree_table_bounds_accepted(self):
+        f = dn.Frame(("a", "b"), 2, {(0, 2): 1.0, (1, 2): 1e-300})
+        assert f.nonexclusivity(f.subset("ab"), f.x_mask) == f.lookup(0, 2) == 1.0
+
     def test_default_degrees_are_zero(self):
         f = exclusive("ab")
         assert f.nonexclusivity(f.subset("a"), f.subset("b")) == 0.0
@@ -85,6 +100,28 @@ class TestNonexclusivity:
         with pytest.raises(ValueError):
             f.nonexclusivity(0, f.subset("a"))
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.sampled_from([0.05, 0.5, 1.0]),
+           st.integers(0, 2 ** 32), st.data())
+    def test_equals_max_over_stored_pairs(self, n, density, seed, data):
+        # the literal definition over ``lookup``, which reads ``degrees``,
+        # not the adjacency; on intersecting sets the diagonal gives 1
+        rng = random.Random(seed)
+        f = dn.Frame(tuple(f"e{i}" for i in range(n)), None, {
+            (i, j): min(rng.random() * 1.1, 1.0) or 1.0  # 1 in 11 exactly 1
+            for i in range(n + 1) for j in range(i + 1, n + 1)
+            if rng.random() < density})
+        # wide masks, or at most three members, where X often attains the max
+        masks = st.integers(1, f.full_mask) | st.sets(
+            st.integers(0, n), min_size=1, max_size=3).map(
+                lambda s: sum(1 << i for i in s))
+        a = data.draw(masks, label="a")
+        b = data.draw(masks, label="b")
+        if data.draw(st.booleans(), label="disjoint") and b & ~a:
+            b &= ~a
+        literal = max(f.lookup(i, j) for i in iter_indices(a) for j in iter_indices(b))
+        assert f.nonexclusivity(a, b) == f.nonexclusivity(b, a) == literal
+
 
 class TestBuildDNumber:
     def test_vacuous_is_completed(self):
@@ -132,6 +169,22 @@ class TestReadOnlyTables:
         with pytest.raises(TypeError):
             f.degrees[(0, 1)] = 1.0
         assert f.lookup(0, 1) == 0.3
+
+    def test_adjacency_read_only(self):
+        f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
+        with pytest.raises(TypeError):
+            f.adjacency[0][1][1] = 1.0
+        with pytest.raises(TypeError):
+            f.adjacency[0][1][f.x_index] = 1.0
+        with pytest.raises(TypeError):
+            f.adjacency[0] = (f.x_mask, {f.x_index: 1.0})
+        assert f.nonexclusivity(f.subset("a"), f.subset("b")) == 0.3
+        assert f.nonexclusivity(f.subset("a"), f.x_mask) == 0.0
+
+    def test_adjacency_outside_equality_and_repr(self):
+        f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
+        assert f == dn.Frame(("a", "b"), 2, {(0, 1): 0.3})
+        assert "adjacency" not in repr(f)
 
     def test_masses_read_only(self):
         f = exclusive("ab")
