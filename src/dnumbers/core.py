@@ -20,14 +20,20 @@ MASS_TOL = 1e-9
 X_LABEL = "X"
 
 
+def is_number(value) -> bool:
+    """True for an ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Frame:
     """Ordered element labels, the unknown element X, and pairwise degrees.
 
-    ``degrees`` is a read-only copy of a map from index pairs (i, j),
-    0 <= i < j <= N, to a non-exclusivity degree in (0, 1]; index
-    N = ``len(elements)`` stands for X. Absent pairs default to 0 (pure
-    exclusivity); any other key or degree raises ``ValueError``.
+    ``elements`` holds at least one label, each nonempty, unique and not
+    "X"; ``unknown_cardinality`` is ``None`` or an ``int`` >= 2. ``degrees``
+    is a read-only copy of a map from ``int`` pairs (i, j), 0 <= i < j <= N,
+    to a degree in (0, 1]; index N = ``len(elements)`` stands for X, absent
+    pairs default to 0, and anything else (a ``bool`` too) raises ``ValueError``.
 
     ``adjacency`` is derived from ``degrees`` once, when the frame is
     made: for each index 0..N, X included, the bitmask of its stored
@@ -36,8 +42,7 @@ class Frame:
     it, so a call on disjoint sets costs one mask intersection per member
     of the smaller set plus one read per stored pair between the sets.
     :meth:`lookup` reads ``degrees``, which keeps it an independent route
-    for the oracle. Instances are immutable, tables included; build them
-    with :func:`build_frame`.
+    for the oracle. Instances are immutable, tables included.
     """
 
     elements: tuple[str, ...]
@@ -47,16 +52,30 @@ class Frame:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.elements:
+            raise ValueError("a frame needs at least one element")
+        seen = set()
+        for label in self.elements:
+            if not label:
+                raise ValueError("element labels must be nonempty")
+            if label == X_LABEL:
+                raise ValueError(f"{X_LABEL!r} is reserved for the unknown element")
+            if label in seen:
+                raise ValueError(f"duplicate label {label!r}")
+            seen.add(label)
+        card = self.unknown_cardinality
+        if card is not None and not (type(card) is int and card >= 2):
+            raise ValueError(f"unknown cardinality {card!r} is not an int of at least 2")
         degrees = dict(self.degrees)
         x = len(self.elements)
         rows: list[dict[int, float]] = [{} for _ in range(x + 1)]
         for key, p in degrees.items():
             if not (isinstance(key, tuple) and len(key) == 2
-                    and all(isinstance(k, int) for k in key)
+                    and all(type(k) is int for k in key)
                     and 0 <= key[0] < key[1] <= x):
                 raise ValueError(f"degree key {key!r} is not a pair (i, j) "
                                  f"with 0 <= i < j <= {x}")
-            if not (isinstance(p, (int, float)) and 0.0 < p <= 1.0):
+            if not (is_number(p) and 0.0 < p <= 1.0):
                 raise ValueError(f"degree {p!r} for pair {key} outside (0, 1]")
             i, j = key
             rows[i][j] = rows[j][i] = p
@@ -154,35 +173,18 @@ def iter_indices(mask: int):
 
 
 def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
-    """Build a validated frame.
+    """Build a frame from labels; :class:`Frame` checks labels and cardinality.
 
-    ``labels`` is the ordered list of element names. ``unknown_cardinality``
-    is an integer >= 2 or the string "unknown". ``degrees`` is an iterable
-    of ((label_a, label_b), p) pairs; labels may include the reserved "X".
-    The symmetric closure is taken and identical-label pairs are forced
-    to degree 1. A pair given twice must get the same degree, zero included.
+    ``unknown_cardinality`` is "unknown" or ``None`` for an unknown size.
+    ``degrees`` is an iterable of ((label_a, label_b), p) pairs, p in
+    [0, 1]; labels may include the reserved "X". The symmetric closure is
+    taken, identical-label pairs are forced to degree 1, and zeros are not
+    stored. A pair given twice must get the same degree, zero included.
     """
     labels = tuple(labels)
-    if not labels:
-        raise ValueError("a frame needs at least one element")
-    index = {X_LABEL: len(labels)}
-    for i, label in enumerate(labels):
-        if not label:
-            raise ValueError("element labels must be nonempty")
-        if label == X_LABEL:
-            raise ValueError(f"{X_LABEL!r} is reserved for the unknown element")
-        if label in index:
-            raise ValueError(f"duplicate label {label!r}")
-        index[label] = i
-
-    if unknown_cardinality in ("unknown", None):
-        card: int | None = None
-    else:
-        card = int(unknown_cardinality)
-        if card < 2:
-            raise ValueError("unknown cardinality must be at least 2")
-
-    given: dict[tuple[int, int], float] = {}
+    index = {label: i for i, label in enumerate(labels)}
+    index[X_LABEL] = len(labels)
+    given: dict[tuple[int, int], float] = {}  # zeros too, to catch conflicts
     for (la, lb), p in degrees:
         p = float(p)
         if not 0.0 <= p <= 1.0:
@@ -195,57 +197,58 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
             continue  # forced to 1, never stored
         if given.setdefault((i, j), p) != p:
             raise ValueError(f"conflicting degrees for pair ({la!r}, {lb!r})")
-    for key in [key for key, p in given.items() if p == 0.0]:
-        del given[key]  # kept until here only to catch conflicting degrees
-    return Frame(labels, card, given)
+    card = None if unknown_cardinality == "unknown" else unknown_cardinality
+    return Frame(labels, card, {key: p for key, p in given.items() if p})
 
 
 @dataclass(frozen=True)
 class DNumber:
     """A mass assignment over nonempty subsets of the frame.
 
-    ``masses`` is a read-only copy of a map from subset masks to positive
-    finite masses, in canonical (ascending-mask) order. Total mass is at
-    most 1; ``completed`` is true when it equals 1 within :data:`MASS_TOL`.
-    Instances are immutable, mass table included; build them with
-    :func:`build_dnumber`.
+    ``masses`` maps nonzero ``int`` masks inside the frame to finite,
+    nonnegative masses totalling at most 1 within :data:`MASS_TOL`; anything
+    else raises ``ValueError``. It is kept as a read-only copy without zeros,
+    in ascending-mask order, from which ``total_mass`` (its fsum) and
+    ``completed`` (total 1 within the tolerance) are derived. Immutable.
     """
 
     frame: Frame
     masses: Mapping[int, float]
-    completed: bool
+    completed: bool = field(init=False)
+    total_mass: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "masses", MappingProxyType(dict(self.masses)))
-
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(self.masses.values())
+        full = self.frame.full_mask
+        for mask, mass in self.masses.items():
+            if type(mask) is not int or mask & ~full:
+                raise ValueError(f"subset mask {mask!r} is not an int inside the frame")
+            if mask == 0:
+                raise ValueError("mass on the empty set: D(∅) must be 0")
+            if not (is_number(mass) and 0.0 <= mass < math.inf):
+                raise ValueError(f"mass {mass!r}: not a number, negative or not finite")
+        masses = {m: v for m, v in sorted(self.masses.items()) if v > 0.0}
+        total = math.fsum(masses.values())
+        if total > 1.0 + MASS_TOL:
+            raise ValueError(f"total mass {total} exceeds 1")
+        object.__setattr__(self, "masses", MappingProxyType(masses))
+        object.__setattr__(self, "total_mass", total)
+        object.__setattr__(self, "completed", abs(total - 1.0) <= MASS_TOL)
 
 
 def build_dnumber(frame: Frame, entries) -> DNumber:
     """Build a D number from (mask, mass) entries.
 
-    Duplicate subsets are merged, zero masses dropped. Masses must be
-    finite and nonnegative, and the total mass must not exceed 1.
+    Each mass is converted with ``float``, a negative one is rejected
+    before duplicate subsets are merged (so a merge cannot hide it), and
+    the merged table goes to :class:`DNumber`, which holds every other rule.
     """
     merged: dict[int, float] = {}
     for mask, mass in entries:
         mass = float(mass)
-        if not math.isfinite(mass):
-            raise ValueError(f"mass {mass} is not finite")
         if mass < 0.0:
             raise ValueError(f"negative mass {mass}")
-        if mask == 0:
-            raise ValueError("mass on the empty set: D(∅) must be 0")
-        if mask & ~frame.full_mask:
-            raise ValueError(f"subset mask {mask:#x} outside the frame")
         merged[mask] = merged.get(mask, 0.0) + mass
-    masses = {m: v for m, v in sorted(merged.items()) if v > 0.0}
-    total = math.fsum(masses.values())
-    if total > 1.0 + MASS_TOL:
-        raise ValueError(f"total mass {total} exceeds 1")
-    return DNumber(frame, masses, completed=abs(total - 1.0) <= MASS_TOL)
+    return DNumber(frame, merged)
 
 
 def complete(d: DNumber) -> DNumber:

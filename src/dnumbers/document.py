@@ -31,6 +31,7 @@ from .core import (
     Frame,
     build_dnumber,
     build_frame,
+    is_number,
 )
 
 
@@ -47,16 +48,16 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
 
     All violations are collected and reported together. One inside an
     entry or field names it (``frame[0]``, ``unknown.non_exclusivity['a']``,
-    ``non_exclusivity[2]``, ``masses[1]``, ``"unknown"``); one between
-    entries, such as two degrees for one pair, names the labels. Labels
-    must be nonempty, unique, other than "X", valid Unicode text, and free
-    of control characters, line and paragraph separators, and "|";
-    ``unknown.cardinality`` must be an integer from 2 to
-    ``sys.float_info.max``. An ``unknown.non_exclusivity`` item
-    ``{label: p}`` is checked as the pair entry ``([label, "X"], p)``, and
-    its key must be a frame label.
-    Duplicate mass entries for the same set are rejected outright to
-    surface authoring errors.
+    ``non_exclusivity[2]``, ``masses[1]``, ``"unknown"``); a second,
+    different degree for one pair is reported at the later entry. The
+    frame must be a nonempty list of labels, each nonempty, unique, other
+    than "X", valid Unicode text, and free of control characters, line and
+    paragraph separators, and "|"; ``unknown.cardinality`` must be an
+    integer from 2 to ``sys.float_info.max``. A pair must name two
+    different labels. An ``unknown.non_exclusivity`` item ``{label: p}`` is
+    checked as the pair entry ``([label, "X"], p)``, and its key must be a
+    frame label. Duplicate mass entries for the same set are rejected
+    outright to surface authoring errors.
     """
     if isinstance(text, bytes):
         try:
@@ -72,8 +73,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         raise DocumentError(["document root must be an object"])
 
     labels = doc.get("frame")
-    if not _labels(labels):
-        raise DocumentError(['"frame" must be a list of strings'])
+    if not (labels and _labels(labels)):
+        raise DocumentError(['"frame" must be a nonempty list of strings'])
     errors: list[str] = []
     known = {X_LABEL}
     for k, label in enumerate(labels):
@@ -116,16 +117,19 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     pair_entries = ((where, entry["pair"], entry["degree"]) for where, entry in
                     _entries(errors, doc.get("non_exclusivity", []),
                              "non_exclusivity", "pair", "degree"))
-    pairs: list[tuple[tuple[str, str], float]] = []
+    pairs: dict[tuple[str, str], float] = {}  # label pair, sorted -> degree
     for where, pair, degree in chain(x_entries, pair_entries):
         if not (_labels(pair) and len(pair) == 2):
             errors.append(f'{where}: "pair" must be two labels')
-        elif not _is_number(degree) or not 0.0 <= degree <= 1.0:
+        elif not is_number(degree) or not 0.0 <= degree <= 1.0:
             errors.append(f"{where}: degree {degree!r} outside [0, 1]")
         elif bad := [x for x in pair if x not in known]:
             errors.append(f"{where}: unknown label {bad[0]!r}")
-        else:
-            pairs.append(((pair[0], pair[1]), float(degree)))
+        elif pair[0] == pair[1]:
+            errors.append(f"{where}: pair names {pair[0]!r} twice")
+        elif pairs.setdefault(tuple(sorted(pair)), float(degree)) != degree:
+            errors.append(f"{where}: conflicting degrees for pair "
+                          f"({pair[0]!r}, {pair[1]!r})")
 
     raw_masses = doc.get("masses")
     if not raw_masses:
@@ -139,7 +143,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
             errors.append(f'{where}: "set" must be a list of labels')
         elif not subset:
             errors.append(f"{where}: mass on empty set: D(∅) must be 0")
-        elif not _is_number(mass) or not 0.0 <= mass <= 1.0 + MASS_TOL:
+        elif not is_number(mass) or not 0.0 <= mass <= 1.0 + MASS_TOL:
             errors.append(f"{where}: mass must be a nonnegative number "
                           f"no greater than 1, got {mass!r}")
         elif bad := [x for x in subset if x not in known]:
@@ -158,7 +162,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         raise DocumentError(errors)
 
     try:
-        frame = build_frame(labels, cardinality, pairs)
+        frame = build_frame(labels, cardinality, pairs.items())
         d = build_dnumber(frame, [(frame.subset(s), m) for s, m in mass_entries])
     except ValueError as exc:
         raise DocumentError([str(exc)]) from None
@@ -189,10 +193,6 @@ def _entries(errors: list[str], value, name: str, first: str, second: str):
 
 def _labels(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def document_dict(frame: Frame, d: DNumber) -> dict:

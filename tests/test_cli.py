@@ -101,6 +101,25 @@ class TestValidate:
              "masses": [{"set": ["a"], "mass": 0.55},
                         {"set": ["b"], "mass": 0.5}]})]) == 1
 
+    def test_conflicting_degree_and_bad_mass_reported_together(self, doc_path, capsys):
+        path = doc_path({"frame": ["a", "b"],
+                         "non_exclusivity": [{"pair": ["a", "b"], "degree": 0.2},
+                                             {"pair": ["b", "a"], "degree": 0.5}],
+                         "masses": [{"set": ["a"], "mass": 1.5}]})
+        assert cli.main(["validate", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "non_exclusivity[1]: conflicting degrees for pair ('b', 'a')",
+            "masses[0]: mass must be a nonnegative number no greater than 1, got 1.5"]
+
+    def test_self_pair_rejected(self, doc_path, capsys):
+        path = doc_path({"frame": ["a", "b"],
+                         "non_exclusivity": [{"pair": ["a", "a"], "degree": 0.3}],
+                         "masses": [{"set": ["a"], "mass": 1}]})
+        assert cli.main(["validate", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "non_exclusivity[0]: pair names 'a' twice\n"
+
     def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["validate", str(tmp_path / "nope.json")])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -20,7 +21,7 @@ class TestBuildFrame:
         {(5, 9): 0.5}, {(0, 3): 0.5}, {(1, 0): 0.5}, {(0, 0): 0.5},
         {(-1, 1): 0.5}, {(0, 1, 2): 0.5}, {"ab": 0.5}, {(0.0, 1): 0.5},
         {(0, 1): 0.0}, {(0, 1): -0.5}, {(0, 1): 1.5}, {(0, 1): math.nan},
-        {(0, 1): "0.5"}])
+        {(0, 1): "0.5"}, {(False, True): 0.5}, {(0, True): 0.5}, {(0, 1): True}])
     def test_malformed_degree_table(self, degrees):
         with pytest.raises(ValueError, match="degree"):
             dn.Frame(("a", "b"), 2, degrees)
@@ -75,6 +76,32 @@ class TestBuildFrame:
     def test_repeated_zero_degree_is_not_stored(self):
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.0), (("a", "b"), 0.0)])
         assert dict(f.degrees) == {}
+
+
+class TestFrameInvariants:
+    """Built directly, a ``Frame`` holds to the same rules as ``build_frame``."""
+
+    @pytest.mark.parametrize("elements,cardinality,needle", [
+        (("a", "a"), 2, "duplicate label 'a'"),
+        (("a", "X"), 2, "reserved"),
+        (("a", ""), 2, "nonempty"),
+        ((), 2, "at least one element"),
+        (("a", "b"), 1, "at least 2"),
+        (("a", "b"), True, "at least 2"),
+        (("a", "b"), 2.0, "at least 2"),
+    ])
+    def test_rejected(self, elements, cardinality, needle):
+        with pytest.raises(ValueError, match=needle):
+            dn.Frame(elements, cardinality, {})
+
+    @pytest.mark.parametrize("cardinality", [2.9, "3", True, 0])
+    def test_build_frame_does_not_coerce_cardinality(self, cardinality):
+        with pytest.raises(ValueError, match="at least 2"):
+            dn.build_frame("ab", cardinality, [])
+
+    @pytest.mark.parametrize("cardinality", ["unknown", None])
+    def test_unknown_size(self, cardinality):
+        assert dn.build_frame("ab", cardinality, []).unknown_cardinality is None
 
 
 class TestNonexclusivity:
@@ -161,6 +188,56 @@ class TestBuildDNumber:
         f = exclusive("ab")
         d = dn.build_dnumber(f, [(1, 0.2), (1, 0.3), (2, 0.0)])
         assert d.masses == {1: 0.5}
+
+    def test_negative_entry_not_hidden_by_merge(self):
+        f = exclusive("ab")
+        with pytest.raises(ValueError, match="negative"):
+            dn.build_dnumber(f, [(1, -0.1), (1, 0.3)])
+
+
+class TestDNumberInvariants:
+    """Built directly, a ``DNumber`` holds to the same rules as ``build_dnumber``
+    and works out ``completed`` and ``total_mass`` from its masses."""
+
+    @pytest.mark.parametrize("masses,needle", [
+        ({1: -3.0, 2: 0.5}, "negative"),
+        ({1: math.nan}, "not finite"),
+        ({1: math.inf}, "not finite"),
+        ({1: True}, "not a number"),
+        ({1: "0.5"}, "not a number"),
+        ({8: 0.5}, "inside the frame"),
+        ({-1: 0.5}, "inside the frame"),
+        ({True: 0.5}, "inside the frame"),
+        ({1.0: 0.5}, "inside the frame"),
+        ({0: 0.5}, "empty set"),
+        ({1: 0.7, 2: 0.7}, "exceeds 1"),
+    ])
+    def test_rejected(self, masses, needle):
+        with pytest.raises(ValueError, match=needle):
+            dn.DNumber(exclusive("ab"), masses)
+
+    @pytest.mark.parametrize("field", ["completed", "total_mass"])
+    def test_derived_fields_not_arguments(self, field):
+        f = exclusive("ab")
+        with pytest.raises(TypeError):
+            dn.DNumber(f, {f.theta_mask: 1.0}, **{field: True})
+
+    def test_replace_recomputes_derived_fields(self):
+        f = exclusive("ab")
+        d = dn.build_dnumber(f, [(f.theta_mask, 1.0)])
+        assert d.completed and d.total_mass == 1.0
+        raw = dataclasses.replace(d, masses={1: 0.25})
+        assert raw.completed is False
+        assert raw.total_mass == 0.25
+        with pytest.raises(ValueError, match="completed"):
+            dn.bel(raw, 1)
+
+    def test_direct_table_is_canonical(self):
+        f = exclusive("ab")
+        d = dn.DNumber(f, {f.x_mask: 0.5, f.subset("b"): 0.0, f.subset("a"): 0.5})
+        assert list(d.masses.items()) == [(f.subset("a"), 0.5), (f.x_mask, 0.5)]
+        assert d.completed
+        assert d == dn.build_dnumber(f, [(f.subset("a"), 0.5), (f.x_mask, 0.5)])
 
 
 class TestReadOnlyTables:

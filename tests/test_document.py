@@ -154,11 +154,34 @@ def test_x_pair_in_top_level_list():
     pytest.param('{"frame": ["a", "b\\u2029c"], ' + ONE_MASS,
                  "frame[1]: label 'b\\u2029c' contains a line or paragraph "
                  "separator", id="paragraph-separator-in-label"),
+    pytest.param('{"frame": [], "masses": [{"set": ["a"], "mass": 1}]}',
+                 '"frame" must be a nonempty list of strings', id="empty-frame"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": '
+                 '[{"pair": ["a", "a"], "degree": 0.3}], ' + ONE_MASS,
+                 "non_exclusivity[0]: pair names 'a' twice", id="self-pair"),
+    pytest.param('{"frame": ["a"], "non_exclusivity": '
+                 '[{"pair": ["X", "X"], "degree": 0.3}], ' + ONE_MASS,
+                 "non_exclusivity[0]: pair names 'X' twice", id="x-self-pair"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": '
+                 '[{"pair": ["a", "b"], "degree": 0.2}, '
+                 '{"pair": ["b", "a"], "degree": 0.5}], ' + ONE_MASS,
+                 "non_exclusivity[1]: conflicting degrees for pair ('b', 'a')",
+                 id="conflict-at-later-entry"),
 ])
 def test_rejections(doc, needle):
     with pytest.raises(DocumentError) as err:
         dn.parse_document(doc)
     assert needle in str(err.value)
+
+
+def test_repeated_equal_degree_accepted():
+    frame, _ = dn.parse_document(json.dumps({
+        "frame": ["a"],
+        "unknown": {"non_exclusivity": {"a": 0.5}},
+        "non_exclusivity": [{"pair": ["X", "a"], "degree": 0.5}],
+        "masses": [{"set": ["a"], "mass": 1}],
+    }))
+    assert frame.lookup(0, frame.x_index) == 0.5
 
 
 def test_all_violations_reported():
