@@ -9,6 +9,7 @@ bit N reserved for X.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -25,15 +26,35 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_cardinality(value) -> bool:
+    """True for a known size of X: an ``int``, not a ``bool``, from 2 to
+    ``sys.float_info.max``, the largest that converts to a ``float``."""
+    return type(value) is int and 2 <= value <= sys.float_info.max
+
+
+def label_error(label: str, before) -> str | None:
+    """Why ``label`` cannot follow the labels ``before`` in a frame, or ``None``.
+
+    A label must be nonempty, other than "X" and not among ``before``.
+    :class:`Frame` raises the reason and ``parse_document`` reports it.
+    """
+    if not label:
+        return "label must be nonempty"
+    if label == X_LABEL:
+        return f"label {X_LABEL!r} is reserved for the unknown element"
+    return f"duplicate label {label!r}" if label in before else None
+
+
 @dataclass(frozen=True)
 class Frame:
     """Ordered element labels, the unknown element X, and pairwise degrees.
 
-    ``elements`` holds at least one label, each nonempty, unique and not
-    "X"; ``unknown_cardinality`` is ``None`` or an ``int`` >= 2. ``degrees``
-    is a read-only copy of a map from ``int`` pairs (i, j), 0 <= i < j <= N,
-    to a degree in (0, 1]; index N = ``len(elements)`` stands for X, absent
-    pairs default to 0, and anything else (a ``bool`` too) raises ``ValueError``.
+    ``elements`` is kept as a tuple of at least one ``str`` label, each
+    passing :func:`label_error`; ``unknown_cardinality`` is ``None`` or
+    passes :func:`is_cardinality`. ``degrees`` is a read-only copy of a map
+    from ``int`` pairs (i, j), 0 <= i < j <= N, to a degree in (0, 1];
+    index N = ``len(elements)`` stands for X, absent pairs default to 0,
+    and anything else (a ``bool`` too) raises ``ValueError``.
 
     ``adjacency`` is derived from ``degrees`` once, when the frame is
     made: for each index 0..N, X included, the bitmask of its stored
@@ -52,22 +73,22 @@ class Frame:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.elements:
+        elements = tuple(self.elements)
+        if not elements:
             raise ValueError("a frame needs at least one element")
         seen = set()
-        for label in self.elements:
-            if not label:
-                raise ValueError("element labels must be nonempty")
-            if label == X_LABEL:
-                raise ValueError(f"{X_LABEL!r} is reserved for the unknown element")
-            if label in seen:
-                raise ValueError(f"duplicate label {label!r}")
+        for label in elements:
+            if not isinstance(label, str):
+                raise ValueError(f"label {label!r} is not a str")
+            if reason := label_error(label, seen):
+                raise ValueError(reason)
             seen.add(label)
         card = self.unknown_cardinality
-        if card is not None and not (type(card) is int and card >= 2):
-            raise ValueError(f"unknown cardinality {card!r} is not an int of at least 2")
+        if card is not None and not is_cardinality(card):
+            raise ValueError(f"unknown cardinality {card!r} is not an int of at least 2 "
+                             f"and at most {sys.float_info.max!r}")
         degrees = dict(self.degrees)
-        x = len(self.elements)
+        x = len(elements)
         rows: list[dict[int, float]] = [{} for _ in range(x + 1)]
         for key, p in degrees.items():
             if not (isinstance(key, tuple) and len(key) == 2
@@ -79,6 +100,7 @@ class Frame:
                 raise ValueError(f"degree {p!r} for pair {key} outside (0, 1]")
             i, j = key
             rows[i][j] = rows[j][i] = p
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "degrees", MappingProxyType(degrees))
         object.__setattr__(self, "adjacency", tuple(
             (sum(1 << j for j in row), MappingProxyType(row)) for row in rows))
@@ -206,10 +228,12 @@ class DNumber:
     """A mass assignment over nonempty subsets of the frame.
 
     ``masses`` maps nonzero ``int`` masks inside the frame to finite,
-    nonnegative masses totalling at most 1 within :data:`MASS_TOL`; anything
+    nonnegative masses totalling at most 1 + :data:`MASS_TOL`; anything
     else raises ``ValueError``. It is kept as a read-only copy without zeros,
     in ascending-mask order, from which ``total_mass`` (its fsum) and
-    ``completed`` (total 1 within the tolerance) are derived. Immutable.
+    ``completed`` are derived. A D number is complete when its total is
+    within ``MASS_TOL`` of 1, on either side, so :func:`complete` only ever
+    adds a positive residual. Immutable.
     """
 
     frame: Frame
@@ -232,7 +256,7 @@ class DNumber:
             raise ValueError(f"total mass {total} exceeds 1")
         object.__setattr__(self, "masses", MappingProxyType(masses))
         object.__setattr__(self, "total_mass", total)
-        object.__setattr__(self, "completed", abs(total - 1.0) <= MASS_TOL)
+        object.__setattr__(self, "completed", 1.0 - total <= MASS_TOL)
 
 
 def build_dnumber(frame: Frame, entries) -> DNumber:

@@ -20,6 +20,7 @@ Canonical documents round-trip bit-exactly through serialize ∘ parse.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import unicodedata
 from itertools import chain
@@ -31,7 +32,9 @@ from .core import (
     Frame,
     build_dnumber,
     build_frame,
+    is_cardinality,
     is_number,
+    label_error,
 )
 
 
@@ -57,7 +60,10 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     different labels. An ``unknown.non_exclusivity`` item ``{label: p}`` is
     checked as the pair entry ``([label, "X"], p)``, and its key must be a
     frame label. Duplicate mass entries for the same set are rejected
-    outright to surface authoring errors.
+    outright to surface authoring errors. The total mass is summed with
+    ``math.fsum``, as :class:`DNumber` sums it, and may exceed 1 by at most
+    ``MASS_TOL``. The label and cardinality rules shared with :class:`Frame`
+    are :func:`label_error` and :func:`is_cardinality`.
     """
     if isinstance(text, bytes):
         try:
@@ -81,13 +87,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         # JSON escapes can give lone surrogates, which UTF-8 cannot encode
         if any("\ud800" <= c <= "\udfff" for c in label):
             errors.append(f"frame[{k}]: label {label!r} is not valid Unicode text")
-        elif not label:
-            errors.append(f"frame[{k}]: label must be nonempty")
-        elif label == X_LABEL:
-            errors.append(f"frame[{k}]: label {X_LABEL!r} is reserved for "
-                          f"the unknown element")
-        elif label in known:
-            errors.append(f"frame[{k}]: duplicate label {label!r}")
+        elif reason := label_error(label, known):
+            errors.append(f"frame[{k}]: {reason}")
         # splits a table row; the csv writer leaves a lone "\r" unquoted
         elif any(unicodedata.category(c) == "Cc" for c in label):
             errors.append(f"frame[{k}]: label {label!r} contains a control character")
@@ -102,8 +103,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     unknown = doc.get("unknown")
     unknown = {} if unknown is None else _object(errors, unknown, "unknown")
     cardinality = unknown.get("cardinality", "unknown")
-    if "cardinality" in unknown and not (
-            isinstance(cardinality, int) and 2 <= cardinality <= sys.float_info.max):
+    if "cardinality" in unknown and not is_cardinality(cardinality):
         errors.append(f'"unknown.cardinality" must be an integer from 2 to '
                       f'{sys.float_info.max!r}, got {cardinality!r}')
 
@@ -154,7 +154,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
             seen_sets.add(key)
             mass_entries.append((subset, float(mass)))
 
-    total = sum(m for _, m in mass_entries)
+    total = math.fsum(m for _, m in mass_entries)
     if total > 1.0 + MASS_TOL:
         errors.append(f"total mass {total} exceeds 1")
 

@@ -136,25 +136,23 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
 
     Bel enumerates subsets of ``a``; Pl enumerates all focal sets and
     applies the two-branch rule (1 on intersection, pairwise-max degree on
-    disjointness) directly from the stored singleton degrees.
+    disjointness) directly from the stored singleton degrees. Both sums are
+    taken with ``math.fsum`` and not clamped, so a total just above 1
+    shows as it does in :func:`.core.belief_interval`.
     """
     _check_enumerable(d.frame)
     if not d.completed:
         raise ValueError("oracle requires a completed D number")
-    lower = 0.0
-    for b in range(1, d.frame.full_mask + 1):
-        if b & ~a == 0:
-            lower += d.masses.get(b, 0.0)
-    upper = 0.0
-    if a != 0:
-        for b, mass in d.masses.items():
-            if b & a:
-                upper += mass
-            else:
-                u = max(d.frame.lookup(i, j)
-                        for i in iter_indices(b) for j in iter_indices(a))
-                upper += u * mass
-    return BeliefInterval(min(lower, 1.0), min(upper, 1.0))
+    lower = math.fsum(d.masses.get(b, 0.0)
+                      for b in range(1, d.frame.full_mask + 1) if b & ~a == 0)
+    if a == 0:
+        return BeliefInterval(lower, 0.0)
+    lookup = d.frame.lookup
+    upper = math.fsum(
+        mass if b & a
+        else max(lookup(i, j) for i in iter_indices(b) for j in iter_indices(a)) * mass
+        for b, mass in d.masses.items())
+    return BeliefInterval(lower, upper)
 
 
 def dst_ku_reference(bpa: DNumber) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -77,6 +78,15 @@ class TestBuildFrame:
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.0), (("a", "b"), 0.0)])
         assert dict(f.degrees) == {}
 
+    def test_identical_label_pair_is_not_stored(self):
+        f = dn.build_frame("ab", 2, [(("a", "a"), 0.3)])
+        assert dict(f.degrees) == {}
+        assert f.lookup(0, 0) == 1.0
+
+    def test_subset_of_unknown_label(self):
+        with pytest.raises(ValueError, match="unknown label 'z'"):
+            exclusive("ab").subset(["z"])
+
 
 class TestFrameInvariants:
     """Built directly, a ``Frame`` holds to the same rules as ``build_frame``."""
@@ -89,6 +99,8 @@ class TestFrameInvariants:
         (("a", "b"), 1, "at least 2"),
         (("a", "b"), True, "at least 2"),
         (("a", "b"), 2.0, "at least 2"),
+        ((1, 2), 2, "label 1 is not a str"),
+        (("a", None), 2, "label None is not a str"),
     ])
     def test_rejected(self, elements, cardinality, needle):
         with pytest.raises(ValueError, match=needle):
@@ -102,6 +114,21 @@ class TestFrameInvariants:
     @pytest.mark.parametrize("cardinality", ["unknown", None])
     def test_unknown_size(self, cardinality):
         assert dn.build_frame("ab", cardinality, []).unknown_cardinality is None
+
+    def test_cardinality_beyond_float_range(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            dn.build_frame("a", 10 ** 400)
+
+    def test_largest_cardinality_accepted(self):
+        card = int(sys.float_info.max)
+        assert dn.build_frame("a", card).unknown_cardinality == card
+
+    def test_elements_kept_as_tuple(self):
+        f = dn.Frame(["a", "b"], None, {(0, 1): 0.5})
+        assert f == dn.Frame(("a", "b"), None, {(0, 1): 0.5})
+        assert f.elements == ("a", "b")
+        with pytest.raises(AttributeError):
+            f.elements.append("c")
 
 
 class TestNonexclusivity:
@@ -278,6 +305,14 @@ class TestReadOnlyTables:
 
 
 class TestComplete:
+    @pytest.mark.parametrize("total", [1.0, 1.0000000005, 1.000000001])
+    def test_total_up_to_tolerance_above_one_is_complete(self, total):
+        f = exclusive("ab")
+        d = dn.build_dnumber(f, [(f.subset("a"), total)])
+        assert d.completed
+        assert dn.complete(d) is d
+        assert dn.belief_interval(d, f.subset("a")).upper == total
+
     def test_residual_goes_to_x(self):
         f = exclusive("ab")
         d = dn.complete(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
@@ -383,6 +418,10 @@ class TestIsBpa:
     def test_nonexclusive_frame(self):
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
         assert not dn.is_bpa(dn.build_dnumber(f, [(f.subset("a"), 1.0)]))
+
+    def test_incomplete(self):
+        f = exclusive("ab")
+        assert not dn.is_bpa(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
 
 
 class TestProperties:

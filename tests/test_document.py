@@ -28,6 +28,20 @@ def test_incomplete_document_stays_raw():
     assert d.total_mass == pytest.approx(0.6)
 
 
+def test_total_summed_as_the_library_sums_it():
+    # sum() gives 1.0000000010000003, above 1 + MASS_TOL; math.fsum gives 1.000000001
+    masses = [0.1354605800962365, 0.44663495957000976, 0.35715815612212515,
+              0.04416454292027447, 0.00885615048769734, 0.00772561180365684]
+    labels = list("abcdef")
+    frame, d = dn.parse_document(json.dumps({
+        "frame": labels,
+        "masses": [{"set": [x], "mass": m} for x, m in zip(labels, masses)],
+    }))
+    assert d == dn.build_dnumber(frame, [(frame.subset(x), m)
+                                         for x, m in zip(labels, masses)])
+    assert d.completed
+
+
 def test_bytes_accepted():
     frame, d = dn.parse_document(MINIMAL.encode())
     assert d.completed

@@ -15,6 +15,7 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from dnumbers import cli
+from dnumbers.core import MASS_TOL
 from dnumbers.document import DocumentError, parse_document
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
@@ -111,3 +112,34 @@ def test_measure_exits_with_a_documented_code(doc, options):
     if code != 0:
         assert out.getvalue() == ""  # no partial output
     out.getvalue().encode("utf-8")  # what reaches stdout must be valid text
+
+
+@st.composite
+def near_one_documents(draw):
+    """Valid-looking documents whose masses total 1 within a few MASS_TOL,
+    on either side, where the acceptance and completion bands meet."""
+    frame = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3,
+                          unique=True))
+    sets = draw(st.lists(st.lists(st.sampled_from(frame + ["X"]), min_size=1,
+                                  max_size=3, unique=True),
+                         min_size=1, max_size=4, unique_by=frozenset))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(sets),
+                            max_size=len(sets)))
+    offset = draw(st.sampled_from([-MASS_TOL, MASS_TOL])
+                  | st.floats(-4 * MASS_TOL, 4 * MASS_TOL))
+    scale = sum(weights) / (1.0 + offset)
+    return {"frame": frame,
+            "masses": [{"set": s, "mass": w / scale} for s, w in zip(sets, weights)]}
+
+
+@FUZZ
+@given(near_one_documents())
+@example({"frame": ["a", "b"], "masses": [{"set": ["a"], "mass": 1.000000001}]})
+def test_what_validate_accepts_measure_measures(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="ascii") as f:
+            f.write(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            if cli.main(["validate", path]) == 0:
+                assert cli.main(["measure", path]) == 0

@@ -31,6 +31,22 @@ class TestOracleBelPl:
         with pytest.raises(ValueError, match="completed"):
             dn.oracle_bel_pl(raw, f.subset("a"))
 
+    def test_enumeration_cap(self):
+        f = dn.build_frame("abcdefg", 2, [])
+        d = dn.build_dnumber(f, [(f.theta_mask, 1.0)])
+        with pytest.raises(ValueError, match="enumeration limited"):
+            dn.oracle_bel_pl(d, f.subset("a"))
+
+    def test_total_above_one_not_clamped(self):
+        f = dn.build_frame("ab", 2, [(("a", "b"), 0.4)])
+        d = dn.build_dnumber(f, [(f.subset("a"), 1.0000000005)])
+        assert d.completed
+        for a in range(1, f.full_mask + 1):
+            fast = dn.belief_interval(d, a)
+            slow = dn.oracle_bel_pl(d, a)
+            assert abs(fast.lower - slow.lower) <= oracle.ORACLE_TOL
+            assert abs(fast.upper - slow.upper) <= oracle.ORACLE_TOL
+
     @settings(max_examples=60)
     @given(completed_dnumbers(max_size=4))
     def test_matches_core_exhaustively(self, d):
@@ -75,6 +91,15 @@ class TestGenerate:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
             oracle.GeneratorConfig(frame_size=7)
+
+    @pytest.mark.parametrize("field,value,needle", [
+        ("focal_count", 0, "at least 1"),
+        ("completeness", "sometimes", "bad completeness"),
+        ("exclusivity", "none", "bad exclusivity"),
+    ])
+    def test_bad_config(self, field, value, needle):
+        with pytest.raises(ValueError, match=needle):
+            oracle.GeneratorConfig(**{field: value})
 
 
 class TestCheckers:
