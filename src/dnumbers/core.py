@@ -45,6 +45,31 @@ def label_error(label: str, before) -> str | None:
     return f"duplicate label {label!r}" if label in before else None
 
 
+class _computed_once:
+    """A method run on first read, its value then stored as the attribute.
+
+    Like ``functools.cached_property``, but the value is stored with
+    ``object.__setattr__``, which also gets past a frozen dataclass,
+    instead of through ``instance.__dict__``. On CPython 3.11 reading
+    ``__dict__`` turns an object's inline attribute values into a dict,
+    and every later attribute read on it costs about three times as much.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.name, value)  # shadows this descriptor
+        return value
+
+
 @dataclass(frozen=True)
 class Frame:
     """Ordered element labels, the unknown element X, and pairwise degrees.
@@ -61,7 +86,8 @@ class Frame:
     neighbours and a read-only map from neighbour index to degree. It
     takes no part in equality or ``repr``. :meth:`nonexclusivity` reads
     it, so a call on disjoint sets costs one mask intersection per member
-    of the smaller set plus one read per stored pair between the sets.
+    of the smaller set plus one read per stored pair between the sets;
+    :attr:`DNumber.singleton_pl` reads it too.
     :meth:`lookup` reads ``degrees``, which keeps it an independent route
     for the oracle. Instances are immutable, tables included.
     """
@@ -122,7 +148,7 @@ class Frame:
         """Mask of all known elements (X excluded)."""
         return (1 << len(self.elements)) - 1
 
-    @property
+    @_computed_once  # read by every bel and pl call
     def full_mask(self) -> int:
         """Mask of the whole frame including X."""
         return (1 << (len(self.elements) + 1)) - 1
@@ -234,6 +260,10 @@ class DNumber:
     ``completed`` are derived. A D number is complete when its total is
     within ``MASS_TOL`` of 1, on either side, so :func:`complete` only ever
     adds a positive residual. Immutable.
+
+    ``singleton_pl`` is derived on first use and then kept: a read-only
+    tuple of Pl({i}) for every index 0..N, X last. It is not a field, so
+    it takes no part in equality, ``repr`` or ``dataclasses.replace``.
     """
 
     frame: Frame
@@ -257,6 +287,32 @@ class DNumber:
         object.__setattr__(self, "masses", MappingProxyType(masses))
         object.__setattr__(self, "total_mass", total)
         object.__setattr__(self, "completed", 1.0 - total <= MASS_TOL)
+
+    @_computed_once
+    def singleton_pl(self) -> tuple[float, ...]:
+        """Pl({i}) for every index 0..N, X last, from one pass over the focal sets.
+
+        Each focal set b reaches index i with degree 1 when i is in b and
+        otherwise with the largest degree between i and a member of b, read
+        from the members' ``Frame.adjacency`` rows. That is the factor
+        :meth:`Frame.nonexclusivity` gives for (b, {i}), so the products
+        ``degree * D(b)`` are the ones :func:`pl` would sum, and ``fsum``
+        makes the totals bit-identical. Costs Σ_b Σ_{j∈b} deg(j).
+        """
+        adjacency = self.frame.adjacency
+        terms: list[list[float]] = [[] for _ in adjacency]
+        for b, w in self.masses.items():
+            first, *rest = iter_indices(b)
+            reach = adjacency[first][1].copy()
+            for j in rest:
+                for i, p in adjacency[j][1].items():
+                    if p > reach.get(i, 0.0):
+                        reach[i] = p
+            for j in (first, *rest):
+                reach[j] = 1.0
+            for i, p in reach.items():
+                terms[i].append(p * w)
+        return tuple(map(math.fsum, terms))
 
 
 def build_dnumber(frame: Frame, entries) -> DNumber:
@@ -287,14 +343,21 @@ def complete(d: DNumber) -> DNumber:
     return build_dnumber(d.frame, [*d.masses.items(), residual])
 
 
-def _require_completed(d: DNumber) -> None:
+def _query_error(d: DNumber, a: int) -> ValueError:
+    """Why Bel or Pl of ``a`` is undefined on ``d``, which the caller has
+    found incomplete or ``a`` to reach outside the frame."""
     if not d.completed:
-        raise ValueError("operation requires a completed D number")
+        return ValueError("operation requires a completed D number")
+    return ValueError(f"subset mask {a!r} is not inside the frame")
 
 
 def bel(d: DNumber, a: int) -> float:
-    """Belief of subset ``a``: total mass of focal sets contained in it."""
-    _require_completed(d)
+    """Belief of subset ``a``: total mass of focal sets contained in it.
+
+    A mask with bits outside the frame raises ``ValueError``.
+    """
+    if not d.completed or a & ~d.frame.full_mask:
+        raise _query_error(d, a)
     if a == 0:
         return 0.0
     return math.fsum(v for m, v in d.masses.items() if m & ~a == 0)
@@ -303,11 +366,15 @@ def bel(d: DNumber, a: int) -> float:
 def pl(d: DNumber, a: int) -> float:
     """Plausibility of subset ``a``: mass weighted by non-exclusivity.
 
-    Reduces to the classical plausibility when all stored degrees are 0.
+    A singleton or {X} is read from :attr:`DNumber.singleton_pl`; any
+    other subset sums ``Frame.nonexclusivity(b, a) * D(b)`` over the focal
+    sets b. Reduces to the classical plausibility when all stored degrees
+    are 0. A mask with bits outside the frame raises ``ValueError``.
     """
-    _require_completed(d)
-    if a == 0:
-        return 0.0
+    if not d.completed or a & ~d.frame.full_mask:
+        raise _query_error(d, a)
+    if a & (a - 1) == 0:  # one bit, or the empty set
+        return d.singleton_pl[a.bit_length() - 1] if a else 0.0
     frame = d.frame
     return math.fsum(frame.nonexclusivity(m, a) * v for m, v in d.masses.items())
 

@@ -63,7 +63,9 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     outright to surface authoring errors. The total mass is summed with
     ``math.fsum``, as :class:`DNumber` sums it, and may exceed 1 by at most
     ``MASS_TOL``. The label and cardinality rules shared with :class:`Frame`
-    are :func:`label_error` and :func:`is_cardinality`.
+    are :func:`label_error` and :func:`is_cardinality`; the label rules of
+    a document, which :func:`serialize_document` applies too, are
+    :func:`_document_label_error`.
     """
     if isinstance(text, bytes):
         try:
@@ -84,20 +86,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     errors: list[str] = []
     known = {X_LABEL}
     for k, label in enumerate(labels):
-        # JSON escapes can give lone surrogates, which UTF-8 cannot encode
-        if any("\ud800" <= c <= "\udfff" for c in label):
-            errors.append(f"frame[{k}]: label {label!r} is not valid Unicode text")
-        elif reason := label_error(label, known):
+        if reason := _document_label_error(label, known):
             errors.append(f"frame[{k}]: {reason}")
-        # splits a table row; the csv writer leaves a lone "\r" unquoted
-        elif any(unicodedata.category(c) == "Cc" for c in label):
-            errors.append(f"frame[{k}]: label {label!r} contains a control character")
-        # U+2028, U+2029: the line breaks str.splitlines() knows beyond Cc
-        elif any(unicodedata.category(c) in ("Zl", "Zp") for c in label):
-            errors.append(f"frame[{k}]: label {label!r} contains a line or "
-                          f"paragraph separator")
-        elif "|" in label:  # --subsets all joins labels with "|"
-            errors.append(f"frame[{k}]: label {label!r} contains '|'")
         known.add(label)
 
     unknown = doc.get("unknown")
@@ -169,6 +159,29 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     return frame, d
 
 
+def _document_label_error(label: str, before) -> str | None:
+    """Why ``label`` cannot follow the labels ``before`` in a document, or ``None``.
+
+    On top of :func:`label_error`, a document label must be valid Unicode
+    text and hold no control character, line or paragraph separator, or
+    "|", so that every CLI output format can carry it.
+    """
+    # JSON escapes can give lone surrogates, which UTF-8 cannot encode
+    if any("\ud800" <= c <= "\udfff" for c in label):
+        return f"label {label!r} is not valid Unicode text"
+    if reason := label_error(label, before):
+        return reason
+    # splits a table row; the csv writer leaves a lone "\r" unquoted
+    if any(unicodedata.category(c) == "Cc" for c in label):
+        return f"label {label!r} contains a control character"
+    # U+2028, U+2029: the line breaks str.splitlines() knows beyond Cc
+    if any(unicodedata.category(c) in ("Zl", "Zp") for c in label):
+        return f"label {label!r} contains a line or paragraph separator"
+    if "|" in label:  # --subsets all joins labels with "|"
+        return f"label {label!r} contains '|'"
+    return None
+
+
 def _object(errors: list[str], value, name: str) -> dict:
     """``value`` if it is a JSON object; otherwise record an error and give {}."""
     if isinstance(value, dict):
@@ -221,5 +234,13 @@ def document_dict(frame: Frame, d: DNumber) -> dict:
 
 
 def serialize_document(frame: Frame, d: DNumber) -> str:
-    """Canonical UTF-8 JSON text; byte-identical for equal inputs."""
+    """Canonical UTF-8 JSON text; byte-identical for equal inputs.
+
+    A frame label that :func:`parse_document` would reject raises
+    ``ValueError`` naming it, so every text written parses back.
+    """
+    for label in frame.elements:
+        # Frame has checked the rules of label_error, uniqueness included
+        if reason := _document_label_error(label, ()):
+            raise ValueError(reason)
     return json.dumps(document_dict(frame, d), indent=2, ensure_ascii=False) + "\n"

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
 import dnumbers as dn
 from dnumbers import cli, core
-from dnumbers.core import Frame
+from dnumbers.core import DNumber, Frame, iter_indices
 
 
 @pytest.fixture
@@ -264,8 +265,38 @@ class TestCheck:
 
     def test_mutated_nonexclusivity_fails_set_consistency(self, capsys, monkeypatch):
         monkeypatch.setattr(Frame, "nonexclusivity", lambda self, a, b: 1.0)
+        # the same fault on the singleton route: every focal set reaches
+        # every element, so each Pl({i}) is the total mass
+        monkeypatch.setattr(DNumber, "singleton_pl", property(
+            lambda d: (d.total_mass,) * (d.frame.size + 1)))
         assert cli.main(["check", "set-consistency", "--seed", "1"]) == 2
         assert "FAIL set-consistency" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("keep, x_degrees, code", [
+        (max, True, 0),  # the kernel itself, so each fault below is the only one
+        (min, True, 2),
+        (max, False, 2),
+    ])
+    def test_mutated_kernel_fails_oracle(self, keep, x_degrees, code, capsys,
+                                         monkeypatch):
+        # the singleton Pl pass, merging its members' degrees with ``keep``
+        # and, without ``x_degrees``, adding no degree term to X's column
+        def singleton_pl(d):
+            adjacency, x = d.frame.adjacency, d.frame.x_index
+            terms = [[] for _ in adjacency]
+            for b, w in d.masses.items():
+                reach = {}
+                for j in iter_indices(b):
+                    for i, p in adjacency[j][1].items():
+                        if x_degrees or i != x:
+                            reach[i] = keep(p, reach.get(i, p))
+                reach.update(dict.fromkeys(iter_indices(b), 1.0))
+                for i, p in reach.items():
+                    terms[i].append(p * w)
+            return tuple(map(math.fsum, terms))
+        monkeypatch.setattr(DNumber, "singleton_pl", property(singleton_pl))
+        assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
+        assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
 
     @pytest.mark.parametrize("suite", ["monotonicity", "all"])
     def test_mutated_bel_fails_monotonicity(self, suite, capsys, monkeypatch):

@@ -379,6 +379,61 @@ class TestBelPl:
         assert dn.bel(d, 0) == 0.0
         assert dn.pl(d, 0) == 0.0
 
+    @pytest.mark.parametrize("mask", [1 << 4, (1 << 70) | 1, -1])
+    @pytest.mark.parametrize("measure", [dn.bel, dn.pl])
+    def test_mask_outside_frame_rejected(self, measure, mask):
+        f = exclusive("abc")
+        d = dn.complete(dn.build_dnumber(f, [(f.subset("a"), 0.5)]))
+        with pytest.raises(ValueError, match="not inside the frame"):
+            measure(d, mask)
+
+
+class TestSingletonPl:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.sampled_from([0.05, 0.5, 1.0]),
+           st.integers(0, 2 ** 32), st.booleans())
+    def test_equals_nonexclusivity_sum(self, n, density, seed, completed):
+        # the route pl takes for every other subset; fsum makes both exact
+        rng = random.Random(seed)
+        f = dn.Frame(tuple(f"e{i}" for i in range(n)), None, {
+            (i, j): min(rng.random() * 1.1, 1.0) or 1.0  # 1 in 11 exactly 1
+            for i in range(n + 1) for j in range(i + 1, n + 1)  # X pairs too
+            if rng.random() < density})
+        # focal sets of any width, X among their members too
+        focal = {sum(1 << i for i in rng.sample(range(n + 1), rng.randint(1, n + 1)))
+                 for _ in range(rng.randint(1, 2 * n))}
+        weights = [rng.random() + 1e-3 for _ in focal]
+        total = rng.uniform(0.05, 1.0) / sum(weights)
+        d = dn.build_dnumber(f, [(m, w * total) for m, w in zip(focal, weights)])
+        if completed:
+            d = dn.complete(d)
+        assert len(d.singleton_pl) == n + 1
+        for i in range(n + 1):
+            assert d.singleton_pl[i] == math.fsum(
+                f.nonexclusivity(m, 1 << i) * v for m, v in d.masses.items())
+
+    def test_pl_of_one_bit_reads_the_table(self, monkeypatch):
+        f = dn.build_frame("ab", 2, [(("a", "X"), 0.25)])
+        d = dn.complete(dn.build_dnumber(f, [(f.subset("a"), 0.5)]))
+        assert d.singleton_pl == (0.625, 0.0, 0.625)
+        monkeypatch.setattr(dn.Frame, "nonexclusivity", None)
+        assert [dn.pl(d, 1 << i) for i in range(3)] == list(d.singleton_pl)
+        with pytest.raises(TypeError):
+            dn.pl(d, f.subset("ab"))
+
+    def test_derived_once_and_outside_equality_repr_and_replace(self):
+        f = dn.build_frame("ab", 2, [(("a", "b"), 0.5)])
+        d = dn.build_dnumber(f, [(f.subset("a"), 1.0)])
+        fresh = dn.build_dnumber(f, [(f.subset("a"), 1.0)])
+        assert d.singleton_pl is d.singleton_pl
+        assert "singleton_pl" not in {field.name for field in dataclasses.fields(d)}
+        assert d == fresh and repr(d) == repr(fresh)
+        assert "singleton_pl" not in repr(d)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.singleton_pl = (0.0, 0.0, 0.0)
+        assert dataclasses.replace(d, masses={f.subset("b"): 1.0}).singleton_pl == (
+            0.5, 1.0, 0.0)
+
 
 class TestBeliefInterval:
     def test_total_ignorance(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import dnumbers as dn
 from dnumbers import oracle
-from dnumbers.document import DocumentError
+from dnumbers.document import DocumentError, document_dict
 
 from conftest import raw_dnumbers
 
@@ -225,3 +225,21 @@ def test_generated_round_trip_bytes():
     text = dn.serialize_document(frame, d)
     frame2, d2 = dn.parse_document(text.encode("utf-8"))
     assert dn.serialize_document(frame2, d2).encode("utf-8") == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("label, needle", [
+    ("a|b", "contains '|'"),
+    ("b\nc", "control character"),
+    ("\ud800", "not valid Unicode text"),
+    ("a\u2028b", "line or paragraph separator"),
+])
+def test_serialize_rejects_labels_a_document_cannot_hold(label, needle):
+    frame = dn.build_frame(["ok", label], 2)
+    d = dn.build_dnumber(frame, [(frame.subset(["ok"]), 1.0)])
+    with pytest.raises(ValueError, match=needle) as err:
+        dn.serialize_document(frame, d)
+    assert repr(label) in str(err.value)
+    # parse_document gives the same reason for the same label
+    with pytest.raises(DocumentError) as parsed:
+        dn.parse_document(json.dumps(document_dict(frame, d)))
+    assert parsed.value.errors == [f"frame[1]: {err.value}"]
