@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random document")
     p.add_argument("--frame-size", type=int, default=3)
-    p.add_argument("--focal-count", type=int, default=3)
+    p.add_argument("--focal-count", type=int, default=None)  # see GeneratorConfig
     p.add_argument("--completeness", default="random",
                    choices=["complete", "incomplete", "random"])
     p.add_argument("--exclusivity", default="random-degrees",
@@ -160,10 +160,7 @@ def _run_suite(name: str, trials: int, config: GeneratorConfig) -> CheckReport:
 def cmd_check(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    # three focal sets, or the only nonempty subset of a one-element frame
-    config = GeneratorConfig(frame_size=args.frame_size,
-                             focal_count=1 if args.frame_size == 1 else 3,
-                             seed=args.seed)
+    config = GeneratorConfig(frame_size=args.frame_size, seed=args.seed)
     suites = SUITES if args.suite == "all" else (args.suite,)
     failed = False
     for name in suites:

@@ -223,6 +223,10 @@ def iter_indices(mask: int):
 def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
     """Build a frame from labels; :class:`Frame` checks labels and cardinality.
 
+    This is the library's label-level constructor. ``parse_document`` and
+    ``oracle.generate_raw`` do not call it: each already holds index pairs
+    and builds its :class:`Frame` from them directly.
+
     ``unknown_cardinality`` is "unknown" or ``None`` for an unknown size.
     ``degrees`` is an iterable of ((label_a, label_b), p) pairs, p in
     [0, 1]; labels may include the reserved "X". The symmetric closure is

@@ -11,7 +11,8 @@ Schema (all names fixed):
       "masses": [{"set": ["a"], "mass": 0.6}]
     }
 
-``unknown`` and ``non_exclusivity`` are optional. Degrees involving the
+``unknown`` and ``non_exclusivity`` are optional, and ``unknown`` holds no
+keys but ``cardinality`` and ``non_exclusivity``. Degrees involving the
 unknown element live under ``unknown.non_exclusivity`` as a label-to-degree
 mapping; pairs naming "X" in the top-level list are also accepted on input.
 Canonical documents round-trip bit-exactly through serialize ∘ parse.
@@ -31,7 +32,6 @@ from .core import (
     DNumber,
     Frame,
     build_dnumber,
-    build_frame,
     is_cardinality,
     is_number,
     label_error,
@@ -50,13 +50,14 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     """Parse and validate a document, returning the frame and raw D number.
 
     All violations are collected and reported together. One inside an
-    entry or field names it (``frame[0]``, ``unknown.non_exclusivity['a']``,
-    ``non_exclusivity[2]``, ``masses[1]``, ``"unknown"``); a second,
-    different degree for one pair is reported at the later entry. The
-    frame must be a nonempty list of labels, each nonempty, unique, other
-    than "X", valid Unicode text, and free of control characters, line and
-    paragraph separators, and "|"; ``unknown.cardinality`` must be an
-    integer from 2 to ``sys.float_info.max``. A pair must name two
+    entry or field names it (``frame[0]``, ``unknown['size']``,
+    ``unknown.non_exclusivity['a']``, ``non_exclusivity[2]``, ``masses[1]``,
+    ``"unknown"``); a second, different degree for one pair is reported at
+    the later entry. The frame must be a nonempty list of labels, each
+    nonempty, unique, other than "X", valid Unicode text, and free of
+    control characters, line and paragraph separators, and "|".
+    ``unknown`` may hold only ``cardinality``, an integer from 2 to
+    ``sys.float_info.max``, and ``non_exclusivity``. A pair must name two
     different labels. An ``unknown.non_exclusivity`` item ``{label: p}`` is
     checked as the pair entry ``([label, "X"], p)``, and its key must be a
     frame label. Duplicate mass entries for the same set are rejected
@@ -66,6 +67,12 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     are :func:`label_error` and :func:`is_cardinality`; the label rules of
     a document, which :func:`serialize_document` applies too, are
     :func:`_document_label_error`.
+
+    The checks map each label to its index once, X to N, and key each
+    degree by its index pair and each mass by its mask. A valid document
+    then becomes a :class:`Frame` made straight from the nonzero degrees
+    and a :class:`DNumber` made by :func:`build_dnumber` from the masks;
+    :func:`build_frame` is not on this path.
     """
     if isinstance(text, bytes):
         try:
@@ -84,15 +91,19 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     if not (labels and _labels(labels)):
         raise DocumentError(['"frame" must be a nonempty list of strings'])
     errors: list[str] = []
-    known = {X_LABEL}
+    index = {X_LABEL: len(labels)}  # a repeated label keeps its first index
     for k, label in enumerate(labels):
-        if reason := _document_label_error(label, known):
+        if reason := _document_label_error(label, index):
             errors.append(f"frame[{k}]: {reason}")
-        known.add(label)
+        index.setdefault(label, k)
 
     unknown = doc.get("unknown")
     unknown = {} if unknown is None else _object(errors, unknown, "unknown")
-    cardinality = unknown.get("cardinality", "unknown")
+    for key in unknown:
+        if key not in ("cardinality", "non_exclusivity"):
+            errors.append(f'unknown[{key!r}]: unknown key; expected '
+                          f'"cardinality" or "non_exclusivity"')
+    cardinality = unknown.get("cardinality")
     if "cardinality" in unknown and not is_cardinality(cardinality):
         errors.append(f'"unknown.cardinality" must be an integer from 2 to '
                       f'{sys.float_info.max!r}, got {cardinality!r}')
@@ -107,17 +118,19 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     pair_entries = ((where, entry["pair"], entry["degree"]) for where, entry in
                     _entries(errors, doc.get("non_exclusivity", []),
                              "non_exclusivity", "pair", "degree"))
-    pairs: dict[tuple[str, str], float] = {}  # label pair, sorted -> degree
+    # (i, j), i < j -> degree; zeros too, so a conflict shows in either order
+    degrees: dict[tuple[int, int], float] = {}
     for where, pair, degree in chain(x_entries, pair_entries):
         if not (_labels(pair) and len(pair) == 2):
             errors.append(f'{where}: "pair" must be two labels')
         elif not is_number(degree) or not 0.0 <= degree <= 1.0:
             errors.append(f"{where}: degree {degree!r} outside [0, 1]")
-        elif bad := [x for x in pair if x not in known]:
+        elif bad := [x for x in pair if x not in index]:
             errors.append(f"{where}: unknown label {bad[0]!r}")
         elif pair[0] == pair[1]:
             errors.append(f"{where}: pair names {pair[0]!r} twice")
-        elif pairs.setdefault(tuple(sorted(pair)), float(degree)) != degree:
+        elif degrees.setdefault(tuple(sorted(map(index.get, pair))),
+                                float(degree)) != degree:
             errors.append(f"{where}: conflicting degrees for pair "
                           f"({pair[0]!r}, {pair[1]!r})")
 
@@ -125,8 +138,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     if not raw_masses:
         errors.append('"masses" must be a nonempty list')
         raw_masses = []
-    mass_entries: list[tuple[list[str], float]] = []
-    seen_sets: set[frozenset] = set()
+    masses: dict[int, float] = {}  # mask -> mass
     for where, entry in _entries(errors, raw_masses, "masses", "set", "mass"):
         subset, mass = entry["set"], entry["mass"]
         if not _labels(subset):
@@ -136,15 +148,14 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         elif not is_number(mass) or not 0.0 <= mass <= 1.0 + MASS_TOL:
             errors.append(f"{where}: mass must be a nonnegative number "
                           f"no greater than 1, got {mass!r}")
-        elif bad := [x for x in subset if x not in known]:
+        elif bad := [x for x in subset if x not in index]:
             errors.append(f"{where}: unknown label {bad[0]!r}")
-        elif (key := frozenset(subset)) in seen_sets:
+        elif (mask := sum({1 << index[x] for x in subset})) in masses:
             errors.append(f"{where}: duplicate entry for set {sorted(subset)}")
         else:
-            seen_sets.add(key)
-            mass_entries.append((subset, float(mass)))
+            masses[mask] = float(mass)
 
-    total = math.fsum(m for _, m in mass_entries)
+    total = math.fsum(masses.values())
     if total > 1.0 + MASS_TOL:
         errors.append(f"total mass {total} exceeds 1")
 
@@ -152,8 +163,9 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         raise DocumentError(errors)
 
     try:
-        frame = build_frame(labels, cardinality, pairs.items())
-        d = build_dnumber(frame, [(frame.subset(s), m) for s, m in mass_entries])
+        frame = Frame(labels, cardinality,
+                      {pair: p for pair, p in degrees.items() if p})
+        d = build_dnumber(frame, masses.items())
     except ValueError as exc:
         raise DocumentError([str(exc)]) from None
     return frame, d

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import dst, measures
@@ -20,7 +21,6 @@ from .core import (
     bel,
     belief_interval,
     build_dnumber,
-    build_frame,
     complete,
     iter_indices,
     pl,
@@ -36,8 +36,15 @@ RANGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Settings of :func:`generate_raw`, checked when made.
+
+    ``focal_count`` ``None`` stands for 3 focal sets, or all 2^N - 1
+    nonempty subsets of Θ when there are fewer, and is replaced by that
+    count; ``gen`` and ``check`` both take it as their default.
+    """
+
     frame_size: int = 3
-    focal_count: int = 3
+    focal_count: int | None = None
     completeness: str = "random"      # complete | incomplete | random
     exclusivity: str = "random-degrees"  # exclusive | random-degrees
     seed: int = 0
@@ -45,6 +52,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if not 1 <= self.frame_size <= ENUMERATION_CAP:
             raise ValueError(f"frame size must be in [1, {ENUMERATION_CAP}]")
+        if self.focal_count is None:
+            object.__setattr__(self, "focal_count", min(3, 2 ** self.frame_size - 1))
         if self.focal_count < 1:
             raise ValueError("focal count must be at least 1")
         if self.focal_count > 2 ** self.frame_size - 1:
@@ -85,6 +94,19 @@ class CheckReport:
                             if isinstance(value, DNumber) else value)
             self.failures.append(doc)
 
+    @contextmanager
+    def measuring(self, d: DNumber, **context):
+        """Record a ``ValueError`` raised in the block as a failure on ``d``.
+
+        A measure that breaks a rule of its own results, such as a Pl below
+        its Bel, then gives a counterexample with an unbounded violation
+        and the error's message as ``error`` in its context.
+        """
+        try:
+            yield
+        except ValueError as exc:
+            self.record(math.inf, 0.0, d, **context, error=str(exc))
+
 
 def trial_rng(seed: int, index: int) -> random.Random:
     """Deterministic per-trial RNG derived from (seed, trial index)."""
@@ -93,19 +115,20 @@ def trial_rng(seed: int, index: int) -> random.Random:
 
 def generate_raw(config: GeneratorConfig, rng: random.Random | None = None,
                  ) -> tuple[Frame, DNumber]:
-    """One random frame and raw (possibly incomplete) D number."""
+    """One random frame and raw (possibly incomplete) D number.
+
+    The frame is built as a :class:`Frame` straight from its index pairs:
+    with random degrees, each pair (i, j), i < j <= N, X included, draws
+    one degree in turn, and a draw of exactly 0 is not stored.
+    """
     if rng is None:
         rng = random.Random(config.seed)
     n = config.frame_size
-    labels = list(string.ascii_lowercase[:n])
-
-    degrees = []
+    degrees = {}
     if config.exclusivity == "random-degrees":
-        everything = labels + ["X"]
-        for i in range(len(everything)):
-            for j in range(i + 1, len(everything)):
-                degrees.append(((everything[i], everything[j]), rng.random()))
-    frame = build_frame(labels, 2, degrees)
+        degrees = {(i, j): p for i in range(n + 1) for j in range(i + 1, n + 1)
+                   if (p := rng.random())}
+    frame = Frame(tuple(string.ascii_lowercase[:n]), 2, degrees)
 
     focal = rng.sample(range(1, 2 ** n), config.focal_count)
     weights = [-math.log(1.0 - rng.random()) for _ in focal]
@@ -177,10 +200,11 @@ def check_range(trials: int, config: GeneratorConfig) -> CheckReport:
     n = config.frame_size
     for t in range(trials):
         d = generate(config, trial_rng(config.seed, t))
-        k = measures.ku(d)
-        u = measures.uu_coefficient(d)
-        violation = max(0.0, -k, k - n, -u, u - 1.0)
-        report.record(violation, RANGE_TOL, d, trial=t, ku=k, uu=u)
+        with report.measuring(d, trial=t):
+            k = measures.ku(d)
+            u = measures.uu_coefficient(d)
+            violation = max(0.0, -k, k - n, -u, u - 1.0)
+            report.record(violation, RANGE_TOL, d, trial=t, ku=k, uu=u)
     return report
 
 
@@ -205,16 +229,17 @@ def check_monotonicity(trials: int, config: GeneratorConfig) -> CheckReport:
         rng = trial_rng(config.seed, t)
         d1 = generate(config, rng)
         d2 = _mix_with_vacuous(d1, rng.random())
-        violation = max(
-            0.0,
-            measures.ku(d1) - measures.ku(d2),
-            measures.uu_coefficient(d1) - measures.uu_coefficient(d2),
-        )
-        for a in range(1, d1.frame.full_mask + 1):
-            inner, outer = belief_interval(d1, a), belief_interval(d2, a)
-            violation = max(violation, outer.lower - inner.lower,
-                            inner.upper - outer.upper)
-        report.record(violation, RANGE_TOL, d1, pair=d2)
+        with report.measuring(d1, pair=d2):
+            violation = max(
+                0.0,
+                measures.ku(d1) - measures.ku(d2),
+                measures.uu_coefficient(d1) - measures.uu_coefficient(d2),
+            )
+            for a in range(1, d1.frame.full_mask + 1):
+                inner, outer = belief_interval(d1, a), belief_interval(d2, a)
+                violation = max(violation, outer.lower - inner.lower,
+                                inner.upper - outer.upper)
+            report.record(violation, RANGE_TOL, d1, pair=d2)
     return report
 
 
@@ -235,18 +260,20 @@ def check_set_consistency(frame: Frame) -> CheckReport:
         # from the stored degrees: Frame.nonexclusivity is what KU is checked on
         degree_sum = math.fsum(max(frame.lookup(i, j) for j in iter_indices(a))
                                for i in outside)
-        observed = measures.ku(d)
         if size == 1:
-            report.notes.append(
-                f"|A| = 1 deviation: A = {{{', '.join(frame.labels_of(a))}}}: "
-                f"observed KU = {observed:.7f} (degree sum), "
-                f"set-consistency formula would give {1 + degree_sum:.7f}")
             expected = degree_sum
         else:
             report.trials += 1
             expected = size + degree_sum
-        report.record(abs(observed - expected), RANGE_TOL, d,
-                      expected=expected, observed=observed)
+        with report.measuring(d, expected=expected):
+            observed = measures.ku(d)
+            if size == 1:
+                report.notes.append(
+                    f"|A| = 1 deviation: A = {{{', '.join(frame.labels_of(a))}}}: "
+                    f"observed KU = {observed:.7f} (degree sum), "
+                    f"set-consistency formula would give {1 + degree_sum:.7f}")
+            report.record(abs(observed - expected), RANGE_TOL, d,
+                          expected=expected, observed=observed)
     return report
 
 
@@ -260,18 +287,19 @@ def check_degeneration(trials: int, config: GeneratorConfig) -> CheckReport:
     report = CheckReport("degeneration", trials)
     for t in range(trials):
         d = generate(config, trial_rng(config.seed, t))
-        masses = dst.mass_function(d)
-        worst = 0.0
-        for a in range(1, d.frame.theta_mask + 1):
-            labels = frozenset(d.frame.labels_of(a))
-            reference = BeliefInterval(dst.bel_m(masses, labels),
-                                       dst.pl_m(masses, labels))
-            slow = oracle_bel_pl(d, a)
-            for lo, hi in ((bel(d, a), pl(d, a)), (slow.lower, slow.upper)):
-                worst = max(worst, abs(lo - reference.lower),
-                            abs(hi - reference.upper))
-        worst = max(worst, abs(measures.ku(d) - dst_ku_reference(d)))
-        report.record(worst, ORACLE_TOL, d, trial=t)
+        with report.measuring(d, trial=t):
+            masses = dst.mass_function(d)
+            worst = 0.0
+            for a in range(1, d.frame.theta_mask + 1):
+                labels = frozenset(d.frame.labels_of(a))
+                reference = BeliefInterval(dst.bel_m(masses, labels),
+                                           dst.pl_m(masses, labels))
+                slow = oracle_bel_pl(d, a)
+                for lo, hi in ((bel(d, a), pl(d, a)), (slow.lower, slow.upper)):
+                    worst = max(worst, abs(lo - reference.lower),
+                                abs(hi - reference.upper))
+            worst = max(worst, abs(measures.ku(d) - dst_ku_reference(d)))
+            report.record(worst, ORACLE_TOL, d, trial=t)
     return report
 
 
@@ -280,11 +308,12 @@ def check_oracle_equivalence(trials: int, config: GeneratorConfig) -> CheckRepor
     report = CheckReport("oracle", trials)
     for t in range(trials):
         d = generate(config, trial_rng(config.seed, t))
-        worst = 0.0
-        for a in range(1, d.frame.full_mask + 1):
-            fast = belief_interval(d, a)
-            slow = oracle_bel_pl(d, a)
-            worst = max(worst, abs(fast.lower - slow.lower),
-                        abs(fast.upper - slow.upper))
-        report.record(worst, ORACLE_TOL, d, trial=t)
+        with report.measuring(d, trial=t):
+            worst = 0.0
+            for a in range(1, d.frame.full_mask + 1):
+                fast = belief_interval(d, a)
+                slow = oracle_bel_pl(d, a)
+                worst = max(worst, abs(fast.lower - slow.lower),
+                            abs(fast.upper - slow.upper))
+            report.record(worst, ORACLE_TOL, d, trial=t)
     return report

@@ -298,6 +298,28 @@ class TestCheck:
         assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
         assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
 
+    def test_measure_raising_is_a_property_failure(self, capsys, monkeypatch,
+                                                   tmp_path):
+        # Pl({X}) = 0 puts Pl below Bel wherever X carries mass, so
+        # BeliefInterval raises inside the suite
+        singleton_pl = DNumber.singleton_pl.func
+        monkeypatch.setattr(DNumber, "singleton_pl", property(
+            lambda d: singleton_pl(d)[:-1] + (0.0,)))
+        code = cli.main(["check", "oracle", "--trials", "20", "--seed", "7",
+                         "--counterexample-dir", str(tmp_path / "cx")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "FAIL oracle: trials=20 failures=20 max_violation=inf" in captured.out
+        assert captured.err == ""
+        docs = [json.loads(path.read_text())
+                for path in sorted((tmp_path / "cx").glob("oracle-*.json"))]
+        assert len(docs) == 20
+        raised = [doc for doc in docs if "error" in doc]
+        assert raised
+        for doc in raised:
+            assert doc["error"].startswith("malformed belief interval")
+            dn.parse_document(json.dumps(doc))
+
     @pytest.mark.parametrize("suite", ["monotonicity", "all"])
     def test_mutated_bel_fails_monotonicity(self, suite, capsys, monkeypatch):
         # charge every proper subset the mass on the whole frame as well:
@@ -338,6 +360,16 @@ class TestGen:
     def test_infeasible_focal_count(self, capsys):
         assert cli.main(["gen", "--frame-size", "2", "--focal-count", "9"]) == 3
         assert "infeasible" in capsys.readouterr().err
+
+    def test_one_element_frame_default(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        assert cli.main(["gen", "--frame-size", "1", "--out", str(path)]) == 0
+        assert cli.main(["validate", str(path)]) == 0
+        # the default is the only nonempty subset, not three
+        _, d = dn.parse_document(path.read_text())
+        assert len(d.masses) == 1
+        assert cli.main(["gen", "--frame-size", "1", "--focal-count", "3"]) == 3
+        assert "focal count 3 infeasible" in capsys.readouterr().err
 
     def test_generated_validates(self, tmp_path):
         path = tmp_path / "g.json"

@@ -1,5 +1,7 @@
 import json
+import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -181,6 +183,10 @@ def test_x_pair_in_top_level_list():
                  '{"pair": ["b", "a"], "degree": 0.5}], ' + ONE_MASS,
                  "non_exclusivity[1]: conflicting degrees for pair ('b', 'a')",
                  id="conflict-at-later-entry"),
+    pytest.param('{"frame": ["a", "b"], "unknown": {"non_exclusivty": {"a": 0.9}}, '
+                 '"masses": [{"set": ["X"], "mass": 1.0}]}',
+                 "unknown['non_exclusivty']: unknown key; expected \"cardinality\" "
+                 'or "non_exclusivity"', id="misspelled-unknown-key"),
 ])
 def test_rejections(doc, needle):
     with pytest.raises(DocumentError) as err:
@@ -207,6 +213,66 @@ def test_all_violations_reported():
     with pytest.raises(DocumentError) as err:
         dn.parse_document(doc)
     assert len(err.value.errors) == 3
+
+
+def test_unknown_key_reported_with_other_violations():
+    with pytest.raises(DocumentError) as err:
+        dn.parse_document(json.dumps({
+            "frame": ["a"],
+            "unknown": {"cardinality": 1, "size": 3, "non_exclusivity": {"a": 2}},
+            "masses": [{"set": ["z"], "mass": 1}],
+        }))
+    assert err.value.errors == [
+        "unknown['size']: unknown key; expected \"cardinality\" or \"non_exclusivity\"",
+        '"unknown.cardinality" must be an integer from 2 to 1.7976931348623157e+308, '
+        "got 1",
+        "unknown.non_exclusivity['a']: degree 2 outside [0, 1]",
+        "masses[0]: unknown label 'z'",
+    ]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.sampled_from([0.05, 0.5, 1.0]), st.integers(0, 2 ** 32))
+def test_non_canonical_document_builds_what_the_library_builds(n, density, seed):
+    # the library builds from label pairs and masks; the document spells the
+    # same values out of canonical form
+    rng = random.Random(seed)
+    labels = [f"e{i}" for i in range(n)]
+    names = labels + [dn.X_LABEL]
+    degrees = [((names[i], names[j]), rng.choice([0.0, 1.0, rng.random()]))
+               for i in range(n + 1) for j in range(i + 1, n + 1)  # X pairs too
+               if rng.random() < density]
+    rng.shuffle(degrees)
+    cardinality = rng.choice(["unknown", rng.randint(2, 10 ** 20)])
+    frame = dn.build_frame(labels, cardinality, degrees)
+    focal = sorted({tuple(sorted(rng.sample(names, rng.randint(1, n + 1))))
+                    for _ in range(rng.randint(1, 2 * n))})
+    weights = [rng.random() for _ in focal]
+    scale = rng.uniform(0.05, 1.0) / (sum(weights) or 1.0)
+    masses = [(list(s), w * scale) for s, w in zip(focal, weights)]
+    d = dn.build_dnumber(frame, [(frame.subset(s), m) for s, m in masses])
+
+    x_degrees, pairs = {}, []
+    for (a, b), p in degrees:  # zeros included
+        if b == dn.X_LABEL and rng.random() < 0.5:
+            x_degrees[a] = p
+        else:  # X pairs in either order, the others reversed
+            pair = [a, b] if b == dn.X_LABEL and rng.random() < 0.5 else [b, a]
+            pairs.append({"pair": pair, "degree": p})
+    unknown = {"non_exclusivity": x_degrees}
+    if cardinality != "unknown":
+        unknown["cardinality"] = cardinality
+    entries = []
+    for s, m in masses:
+        s = s + rng.choices(s, k=rng.randint(0, 2))  # repeated labels
+        rng.shuffle(s)
+        entries.append({"set": s, "mass": m})
+    frame2, d2 = dn.parse_document(json.dumps({
+        "frame": labels, "unknown": unknown, "non_exclusivity": pairs,
+        "masses": entries}))
+    assert frame2 == frame
+    assert frame2.adjacency == frame.adjacency
+    assert d2 == d
 
 
 @settings(max_examples=60)

@@ -88,6 +88,10 @@ class TestGenerate:
         with pytest.raises(ValueError, match="infeasible"):
             oracle.GeneratorConfig(frame_size=2, focal_count=9)
 
+    @pytest.mark.parametrize("size, count", [(1, 1), (2, 3), (6, 3)])
+    def test_default_focal_count(self, size, count):
+        assert oracle.GeneratorConfig(frame_size=size).focal_count == count
+
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
             oracle.GeneratorConfig(frame_size=7)
