@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import string
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import dst, measures
@@ -94,18 +93,14 @@ class CheckReport:
                             if isinstance(value, DNumber) else value)
             self.failures.append(doc)
 
-    @contextmanager
-    def measuring(self, d: DNumber, **context):
-        """Record a ``ValueError`` raised in the block as a failure on ``d``.
-
-        A measure that breaks a rule of its own results, such as a Pl below
-        its Bel, then gives a counterexample with an unbounded violation
-        and the error's message as ``error`` in its context.
-        """
+    def check(self, violation, tol: float, d: DNumber, context: dict) -> None:
+        """Record ``violation(d, context)``, which may add to ``context``; a
+        ``ValueError`` it raises is an unbounded violation, its message ``error``."""
         try:
-            yield
+            violation = violation(d, context)
         except ValueError as exc:
-            self.record(math.inf, 0.0, d, **context, error=str(exc))
+            violation, context["error"] = math.inf, str(exc)
+        self.record(violation, tol, d, **context)
 
 
 def trial_rng(seed: int, index: int) -> random.Random:
@@ -194,18 +189,28 @@ def dst_ku_reference(bpa: DNumber) -> float:
     return math.fsum(terms)
 
 
+def _run_trials(name, trials, config, violation, tol, draw_context=None) -> CheckReport:
+    """Check ``violation`` on trial t's :func:`generate` instance d, drawn from
+    ``trial_rng(config.seed, t)``, in ``draw_context(d, rng)`` or ``{"trial": t}``."""
+    report = CheckReport(name, trials)
+    for t in range(trials):
+        rng = trial_rng(config.seed, t)
+        d = generate(config, rng)
+        context = draw_context(d, rng) if draw_context else {"trial": t}
+        report.check(violation, tol, d, context)
+    return report
+
+
+def range_violation(d: DNumber, context: dict) -> float:
+    """How far KU leaves [0, N] or UU [0, 1]; adds both as ``ku`` and ``uu``."""
+    k, u = measures.ku(d), measures.uu_coefficient(d)
+    context.update(ku=k, uu=u)
+    return max(0.0, -k, k - d.frame.size, -u, u - 1.0)
+
+
 def check_range(trials: int, config: GeneratorConfig) -> CheckReport:
     """Theorem: 0 <= KU <= N and 0 <= UU coefficient <= 1."""
-    report = CheckReport("range", trials)
-    n = config.frame_size
-    for t in range(trials):
-        d = generate(config, trial_rng(config.seed, t))
-        with report.measuring(d, trial=t):
-            k = measures.ku(d)
-            u = measures.uu_coefficient(d)
-            violation = max(0.0, -k, k - n, -u, u - 1.0)
-            report.record(violation, RANGE_TOL, d, trial=t, ku=k, uu=u)
-    return report
+    return _run_trials("range", trials, config, range_violation, RANGE_TOL)
 
 
 def _mix_with_vacuous(d: DNumber, weight: float) -> DNumber:
@@ -213,6 +218,18 @@ def _mix_with_vacuous(d: DNumber, weight: float) -> DNumber:
     entries = [(m, (1.0 - weight) * v) for m, v in d.masses.items()]
     entries.append((d.frame.full_mask, weight))
     return complete(build_dnumber(d.frame, entries))
+
+
+def monotonicity_violation(d: DNumber, context: dict) -> float:
+    """How far ``context["pair"]`` fails to hold ``d``'s intervals, KU and UU."""
+    outer = context["pair"]
+    violation = max(0.0, measures.ku(d) - measures.ku(outer),
+                    measures.uu_coefficient(d) - measures.uu_coefficient(outer))
+    for a in range(1, d.frame.full_mask + 1):
+        inside, around = belief_interval(d, a), belief_interval(outer, a)
+        violation = max(violation, around.lower - inside.lower,
+                        inside.upper - around.upper)
+    return violation
 
 
 def check_monotonicity(trials: int, config: GeneratorConfig) -> CheckReport:
@@ -224,23 +241,14 @@ def check_monotonicity(trials: int, config: GeneratorConfig) -> CheckReport:
     drops by the factor 1 - w and Pl gains the w term. A shortfall in that
     nesting counts toward the pair's violation, as KU or UU falling does.
     """
-    report = CheckReport("monotonicity", trials)
-    for t in range(trials):
-        rng = trial_rng(config.seed, t)
-        d1 = generate(config, rng)
-        d2 = _mix_with_vacuous(d1, rng.random())
-        with report.measuring(d1, pair=d2):
-            violation = max(
-                0.0,
-                measures.ku(d1) - measures.ku(d2),
-                measures.uu_coefficient(d1) - measures.uu_coefficient(d2),
-            )
-            for a in range(1, d1.frame.full_mask + 1):
-                inner, outer = belief_interval(d1, a), belief_interval(d2, a)
-                violation = max(violation, outer.lower - inner.lower,
-                                inner.upper - outer.upper)
-            report.record(violation, RANGE_TOL, d1, pair=d2)
-    return report
+    return _run_trials("monotonicity", trials, config, monotonicity_violation, RANGE_TOL,
+                       lambda d, rng: {"pair": _mix_with_vacuous(d, rng.random())})
+
+
+def set_consistency_violation(d: DNumber, context: dict) -> float:
+    """How far KU is from ``context["expected"]``; adds KU as ``observed``."""
+    observed = context["observed"] = measures.ku(d)
+    return abs(observed - context["expected"])
 
 
 def check_set_consistency(frame: Frame) -> CheckReport:
@@ -255,26 +263,34 @@ def check_set_consistency(frame: Frame) -> CheckReport:
     report = CheckReport("set-consistency")
     for a in range(1, frame.theta_mask + 1):
         d = complete(build_dnumber(frame, [(a, 1.0)]))
-        size = sum(1 for _ in iter_indices(a))
-        outside = [i for i in range(frame.size) if not a >> i & 1]
+        size = a.bit_count()
         # from the stored degrees: Frame.nonexclusivity is what KU is checked on
         degree_sum = math.fsum(max(frame.lookup(i, j) for j in iter_indices(a))
-                               for i in outside)
-        if size == 1:
-            expected = degree_sum
-        else:
-            report.trials += 1
-            expected = size + degree_sum
-        with report.measuring(d, expected=expected):
-            observed = measures.ku(d)
-            if size == 1:
-                report.notes.append(
-                    f"|A| = 1 deviation: A = {{{', '.join(frame.labels_of(a))}}}: "
-                    f"observed KU = {observed:.7f} (degree sum), "
-                    f"set-consistency formula would give {1 + degree_sum:.7f}")
-            report.record(abs(observed - expected), RANGE_TOL, d,
-                          expected=expected, observed=observed)
+                               for i in range(frame.size) if not a >> i & 1)
+        report.trials += size > 1  # |A| = 1 is noted, not counted
+        context = {"expected": size + degree_sum if size > 1 else degree_sum}
+        report.check(set_consistency_violation, RANGE_TOL, d, context)
+        if size == 1 and "observed" in context:
+            report.notes.append(
+                f"|A| = 1 deviation: A = {{{', '.join(frame.labels_of(a))}}}: "
+                f"observed KU = {context['observed']:.7f} (degree sum), "
+                f"set-consistency formula would give {1 + degree_sum:.7f}")
     return report
+
+
+def degeneration_violation(d: DNumber, context: dict) -> float:
+    """Largest gap between the core, oracle and DST Bel, Pl and KU on Θ's subsets."""
+    masses = dst.mass_function(d)
+    worst = 0.0
+    for a in range(1, d.frame.theta_mask + 1):
+        labels = frozenset(d.frame.labels_of(a))
+        reference = BeliefInterval(dst.bel_m(masses, labels),
+                                   dst.pl_m(masses, labels))
+        slow = oracle_bel_pl(d, a)
+        for lo, hi in ((bel(d, a), pl(d, a)), (slow.lower, slow.upper)):
+            worst = max(worst, abs(lo - reference.lower),
+                        abs(hi - reference.upper))
+    return max(worst, abs(measures.ku(d) - dst_ku_reference(d)))
 
 
 def check_degeneration(trials: int, config: GeneratorConfig) -> CheckReport:
@@ -284,36 +300,20 @@ def check_degeneration(trials: int, config: GeneratorConfig) -> CheckReport:
     ``config`` says, so that each one is a classical BPA.
     """
     config = replace(config, completeness="complete", exclusivity="exclusive")
-    report = CheckReport("degeneration", trials)
-    for t in range(trials):
-        d = generate(config, trial_rng(config.seed, t))
-        with report.measuring(d, trial=t):
-            masses = dst.mass_function(d)
-            worst = 0.0
-            for a in range(1, d.frame.theta_mask + 1):
-                labels = frozenset(d.frame.labels_of(a))
-                reference = BeliefInterval(dst.bel_m(masses, labels),
-                                           dst.pl_m(masses, labels))
-                slow = oracle_bel_pl(d, a)
-                for lo, hi in ((bel(d, a), pl(d, a)), (slow.lower, slow.upper)):
-                    worst = max(worst, abs(lo - reference.lower),
-                                abs(hi - reference.upper))
-            worst = max(worst, abs(measures.ku(d) - dst_ku_reference(d)))
-            report.record(worst, ORACLE_TOL, d, trial=t)
-    return report
+    return _run_trials("degeneration", trials, config, degeneration_violation,
+                       ORACLE_TOL)
+
+
+def oracle_violation(d: DNumber, context: dict) -> float:
+    """Largest gap between the core and oracle Bel or Pl of any subset."""
+    worst = 0.0
+    for a in range(1, d.frame.full_mask + 1):
+        fast, slow = belief_interval(d, a), oracle_bel_pl(d, a)
+        worst = max(worst, abs(fast.lower - slow.lower),
+                    abs(fast.upper - slow.upper))
+    return worst
 
 
 def check_oracle_equivalence(trials: int, config: GeneratorConfig) -> CheckReport:
     """Core belief intervals equal the literal-definition oracle, all subsets."""
-    report = CheckReport("oracle", trials)
-    for t in range(trials):
-        d = generate(config, trial_rng(config.seed, t))
-        with report.measuring(d, trial=t):
-            worst = 0.0
-            for a in range(1, d.frame.full_mask + 1):
-                fast = belief_interval(d, a)
-                slow = oracle_bel_pl(d, a)
-                worst = max(worst, abs(fast.lower - slow.lower),
-                            abs(fast.upper - slow.upper))
-            report.record(worst, ORACLE_TOL, d, trial=t)
-    return report
+    return _run_trials("oracle", trials, config, oracle_violation, ORACLE_TOL)
