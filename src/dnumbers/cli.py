@@ -1,7 +1,7 @@
 """Command-line interface: validate, measure, check, gen.
 
 Exit codes: 0 success, 1 validation failure, 2 property failure,
-3 I/O or usage error.
+3 I/O or usage error, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PROPERTY = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141
 
 SUITES = ("range", "monotonicity", "set-consistency", "degeneration", "oracle")
 
@@ -204,7 +206,15 @@ def main(argv=None) -> int:
     handler = {"validate": cmd_validate, "measure": cmd_measure,
                "check": cmd_check, "gen": cmd_gen}[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout raises here at the latest
+        return code
+    except BrokenPipeError:
+        # quiet, as a process killed by SIGPIPE would be; stdout goes to
+        # devnull so the flush at exit does not raise again
+        # (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except DocumentError as exc:
         for message in exc.errors:
             print(message, file=sys.stderr)

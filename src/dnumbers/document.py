@@ -12,9 +12,12 @@ Schema (all names fixed):
     }
 
 ``unknown`` and ``non_exclusivity`` are optional, and ``unknown`` holds no
-keys but ``cardinality`` and ``non_exclusivity``. Degrees involving the
-unknown element live under ``unknown.non_exclusivity`` as a label-to-degree
-mapping; pairs naming "X" in the top-level list are also accepted on input.
+keys but ``cardinality`` and ``non_exclusivity``. The root holds no keys but
+these four and ``check``, under which ``dnumbers check`` writes what a
+counterexample was checked with; nothing under ``check`` is read. Degrees
+involving the unknown element live under ``unknown.non_exclusivity`` as a
+label-to-degree mapping; pairs naming "X" in the top-level list are also
+accepted on input.
 Canonical documents round-trip bit-exactly through serialize ∘ parse.
 """
 
@@ -52,10 +55,11 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     All violations are collected and reported together. One inside an
     entry or field names it (``frame[0]``, ``unknown['size']``,
     ``unknown.non_exclusivity['a']``, ``non_exclusivity[2]``, ``masses[1]``,
-    ``"unknown"``); a second, different degree for one pair is reported at
-    the later entry. The frame must be a nonempty list of labels, each
-    nonempty, unique, other than "X", valid Unicode text, and free of
-    control characters, line and paragraph separators, and "|".
+    ``"unknown"``), and an unknown root key is named as a JSON string
+    (``"non_exclusivty"``); a second, different degree for one pair is
+    reported at the later entry. The frame must be a nonempty list of
+    labels, each nonempty, unique, other than "X", valid Unicode text, and
+    free of control characters, line and paragraph separators, and "|".
     ``unknown`` may hold only ``cardinality``, an integer from 2 to
     ``sys.float_info.max``, and ``non_exclusivity``. A pair must name two
     different labels. An ``unknown.non_exclusivity`` item ``{label: p}`` is
@@ -86,11 +90,14 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         raise DocumentError([f"syntax error: {exc}"]) from None
     if not isinstance(doc, dict):
         raise DocumentError(["document root must be an object"])
+    errors: list[str] = [
+        f'{json.dumps(key)}: unknown key; expected "frame", "unknown", '
+        f'"non_exclusivity", "masses" or "check"' for key in doc
+        if key not in ("frame", "unknown", "non_exclusivity", "masses", "check")]
 
     labels = doc.get("frame")
     if not (labels and _labels(labels)):
-        raise DocumentError(['"frame" must be a nonempty list of strings'])
-    errors: list[str] = []
+        raise DocumentError([*errors, '"frame" must be a nonempty list of strings'])
     index = {X_LABEL: len(labels)}  # a repeated label keeps its first index
     for k, label in enumerate(labels):
         if reason := _document_label_error(label, index):

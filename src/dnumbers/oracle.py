@@ -2,7 +2,11 @@
 
 Everything here recomputes results by literal enumeration on small frames
 so the production routines in :mod:`.core` and :mod:`.measures` can be
-checked against an independent path.
+checked against an independent path. Each property suite is a draw and a
+violation function ``violation(d, context) -> float``, which can be
+called on any instance. One trial loop draws for every suite but set
+consistency, which enumerates its instances, and every suite records
+through :meth:`CheckReport.check`.
 """
 
 from __future__ import annotations
@@ -67,7 +71,11 @@ class GeneratorConfig:
 
 @dataclass
 class CheckReport:
-    """Outcome of a property run over generated or enumerated instances."""
+    """Outcome of a property run over generated or enumerated instances.
+
+    A suite draws each instance with a context and hands both, with its
+    violation function, to :meth:`check`.
+    """
 
     name: str
     trials: int = 0
@@ -83,14 +91,15 @@ class CheckReport:
         """Fold one checked instance into the report.
 
         Only a violation above ``tol`` builds a counterexample: the document
-        of ``d``, then ``context``, where a D number becomes its document.
+        of ``d`` with ``context`` under its ``check`` key, where a D number
+        becomes its document.
         """
         self.max_violation = max(self.max_violation, violation)
         if violation > tol:
             doc = document_dict(d.frame, d)
-            for key, value in context.items():
-                doc[key] = (document_dict(value.frame, value)
-                            if isinstance(value, DNumber) else value)
+            doc["check"] = {key: document_dict(value.frame, value)
+                            if isinstance(value, DNumber) else value
+                            for key, value in context.items()}
             self.failures.append(doc)
 
     def check(self, violation, tol: float, d: DNumber, context: dict) -> None:
@@ -127,7 +136,7 @@ def generate_raw(config: GeneratorConfig, rng: random.Random | None = None,
 
     focal = rng.sample(range(1, 2 ** n), config.focal_count)
     weights = [-math.log(1.0 - rng.random()) for _ in focal]
-    scale = sum(weights)
+    scale = math.fsum(weights)
 
     completeness = config.completeness
     if completeness == "random":

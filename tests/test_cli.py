@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import dnumbers as dn
-from dnumbers import cli, core
+from dnumbers import cli, core, oracle
 from dnumbers.core import DNumber, Frame, iter_indices
 
 
@@ -71,6 +75,42 @@ a|b|X,1.0,1.0,
 {"set": "a|b|X", "bel": 1.0, "pl": 1.0}
 {"ku": 0.9103761792464623, "uu_coefficient": 0.625, "uu_evaluated": 1.25, \
 "completion_mass": 0.25}
+""",
+}
+
+# ``check all --trials 100 --seed 1``, the same on every supported Python
+CHECK_GOLDEN = {
+    3: """\
+PASS range: trials=100 failures=0 max_violation=0.000e+00
+PASS monotonicity: trials=100 failures=0 max_violation=2.220e-16
+PASS set-consistency: trials=4 failures=0 max_violation=0.000e+00
+  note: |A| = 1 deviation: A = {a}: observed KU = 0.9817980 (degree sum), \
+set-consistency formula would give 1.9817980
+  note: |A| = 1 deviation: A = {b}: observed KU = 0.3894333 (degree sum), \
+set-consistency formula would give 1.3894333
+  note: |A| = 1 deviation: A = {c}: observed KU = 1.1025028 (degree sum), \
+set-consistency formula would give 2.1025028
+PASS degeneration: trials=100 failures=0 max_violation=0.000e+00
+PASS oracle: trials=100 failures=0 max_violation=0.000e+00
+""",
+    6: """\
+PASS range: trials=100 failures=0 max_violation=0.000e+00
+PASS monotonicity: trials=100 failures=0 max_violation=2.220e-16
+PASS set-consistency: trials=57 failures=0 max_violation=0.000e+00
+  note: |A| = 1 deviation: A = {a}: observed KU = 2.4960767 (degree sum), \
+set-consistency formula would give 3.4960767
+  note: |A| = 1 deviation: A = {b}: observed KU = 1.6968876 (degree sum), \
+set-consistency formula would give 2.6968876
+  note: |A| = 1 deviation: A = {c}: observed KU = 2.6961799 (degree sum), \
+set-consistency formula would give 3.6961799
+  note: |A| = 1 deviation: A = {d}: observed KU = 2.9355673 (degree sum), \
+set-consistency formula would give 3.9355673
+  note: |A| = 1 deviation: A = {e}: observed KU = 2.7341762 (degree sum), \
+set-consistency formula would give 3.7341762
+  note: |A| = 1 deviation: A = {f}: observed KU = 1.6560783 (degree sum), \
+set-consistency formula would give 2.6560783
+PASS degeneration: trials=100 failures=0 max_violation=0.000e+00
+PASS oracle: trials=100 failures=0 max_violation=0.000e+00
 """,
 }
 
@@ -214,6 +254,17 @@ class TestMeasure:
                               for a in range(1, frame.full_mask + 1)]
         assert [row[0] for row in rows[1:]] == names
 
+    def test_misspelled_root_key_is_a_validation_error(self, doc_path, capsys):
+        # read as written, the degrees would be dropped and Pl({a}) be 0
+        path = doc_path({"frame": ["a", "b"],
+                         "non_exclusivty": [{"pair": ["a", "b"], "degree": 0.9}],
+                         "masses": [{"set": ["b"], "mass": 1.0}]})
+        for command in ("validate", "measure"):
+            assert cli.main([command, path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith('"non_exclusivty": unknown key;')
+
     def test_label_and_mass_violations_reported_together(self, doc_path, capsys):
         path = doc_path({"frame": ["a", ""],
                          "masses": [{"set": ["z"], "mass": 0.5}]})
@@ -223,6 +274,25 @@ class TestMeasure:
         assert "frame[1]" in captured.err and "masses[0]" in captured.err
 
 
+def kernel_mutant(keep, x_degrees):
+    """The singleton Pl pass, merging its members' degrees with ``keep`` and,
+    without ``x_degrees``, adding no degree term to X's column."""
+    def singleton_pl(d):
+        adjacency, x = d.frame.adjacency, d.frame.x_index
+        terms = [[] for _ in adjacency]
+        for b, w in d.masses.items():
+            reach = {}
+            for j in iter_indices(b):
+                for i, p in adjacency[j][1].items():
+                    if x_degrees or i != x:
+                        reach[i] = keep(p, reach.get(i, p))
+            reach.update(dict.fromkeys(iter_indices(b), 1.0))
+            for i, p in reach.items():
+                terms[i].append(p * w)
+        return tuple(map(math.fsum, terms))
+    return singleton_pl
+
+
 class TestCheck:
     def test_all_green(self, capsys):
         assert cli.main(["check", "all", "--trials", "100", "--seed", "7",
@@ -230,6 +300,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "|A| = 1 deviation" in out
+
+    @pytest.mark.parametrize("size", sorted(CHECK_GOLDEN))
+    def test_golden_output(self, size, capsys):
+        assert cli.main(["check", "all", "--trials", "100", "--seed", "1",
+                         "--frame-size", str(size)]) == 0
+        assert capsys.readouterr().out == CHECK_GOLDEN[size]
 
     def test_set_consistency_reports_deviation(self, capsys):
         assert cli.main(["check", "set-consistency", "--seed", "1"]) == 0
@@ -279,24 +355,31 @@ class TestCheck:
     ])
     def test_mutated_kernel_fails_oracle(self, keep, x_degrees, code, capsys,
                                          monkeypatch):
-        # the singleton Pl pass, merging its members' degrees with ``keep``
-        # and, without ``x_degrees``, adding no degree term to X's column
-        def singleton_pl(d):
-            adjacency, x = d.frame.adjacency, d.frame.x_index
-            terms = [[] for _ in adjacency]
-            for b, w in d.masses.items():
-                reach = {}
-                for j in iter_indices(b):
-                    for i, p in adjacency[j][1].items():
-                        if x_degrees or i != x:
-                            reach[i] = keep(p, reach.get(i, p))
-                reach.update(dict.fromkeys(iter_indices(b), 1.0))
-                for i, p in reach.items():
-                    terms[i].append(p * w)
-            return tuple(map(math.fsum, terms))
-        monkeypatch.setattr(DNumber, "singleton_pl", property(singleton_pl))
+        monkeypatch.setattr(DNumber, "singleton_pl",
+                            property(kernel_mutant(keep, x_degrees)))
         assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
         assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
+
+    def test_counterexamples_fail_their_violation_again(self, capsys, monkeypatch,
+                                                        tmp_path):
+        monkeypatch.setattr(DNumber, "singleton_pl", property(kernel_mutant(min, True)))
+        assert cli.main(["check", "all", "--trials", "20", "--seed", "7",
+                         "--counterexample-dir", str(tmp_path)]) == 2
+        suites = {"range": (oracle.range_violation, oracle.RANGE_TOL),
+                  "monotonicity": (oracle.monotonicity_violation, oracle.RANGE_TOL),
+                  "set-consistency": (oracle.set_consistency_violation,
+                                      oracle.RANGE_TOL),
+                  "degeneration": (oracle.degeneration_violation, oracle.ORACLE_TOL),
+                  "oracle": (oracle.oracle_violation, oracle.ORACLE_TOL)}
+        paths = sorted(tmp_path.glob("*.json"))
+        assert paths
+        for path in paths:
+            _, d = dn.parse_document(path.read_bytes())
+            context = json.loads(path.read_text())["check"]
+            if "pair" in context:
+                _, context["pair"] = dn.parse_document(json.dumps(context["pair"]))
+            violation, tol = suites[path.name.rsplit("-", 1)[0]]
+            assert violation(d, context) > tol, path.name
 
     def test_measure_raising_is_a_property_failure(self, capsys, monkeypatch,
                                                    tmp_path):
@@ -314,10 +397,10 @@ class TestCheck:
         docs = [json.loads(path.read_text())
                 for path in sorted((tmp_path / "cx").glob("oracle-*.json"))]
         assert len(docs) == 20
-        raised = [doc for doc in docs if "error" in doc]
+        raised = [doc for doc in docs if "error" in doc["check"]]
         assert raised
         for doc in raised:
-            assert doc["error"].startswith("malformed belief interval")
+            assert doc["check"]["error"].startswith("malformed belief interval")
             dn.parse_document(json.dumps(doc))
 
     @pytest.mark.parametrize("suite", ["monotonicity", "all"])
@@ -371,6 +454,20 @@ class TestGen:
         assert cli.main(["gen", "--frame-size", "1", "--focal-count", "3"]) == 3
         assert "focal count 3 infeasible" in capsys.readouterr().err
 
+    def test_masses_same_on_every_python(self, capsys):
+        # the mass scale is a correctly rounded sum: the builtin ``sum`` of
+        # floats gave other last bits from CPython 3.12 on
+        assert cli.main(["gen", "--frame-size", "3", "--seed", "4",
+                         "--focal-count", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["masses"] == [
+            {"set": ["a"], "mass": 0.2172977385644366},
+            {"set": ["b"], "mass": 0.03759716862168087},
+            {"set": ["a", "b"], "mass": 0.18746717660976273},
+            {"set": ["a", "c"], "mass": 0.0032183630208719076},
+            {"set": ["a", "b", "c"], "mass": 0.3548673917262141},
+        ]
+
     def test_generated_validates(self, tmp_path):
         path = tmp_path / "g.json"
         assert cli.main(["gen", "--seed", "5", "--out", str(path)]) == 0
@@ -378,6 +475,24 @@ class TestGen:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("argv", [["check", "all", "--trials", "50"], ["gen"]])
+    def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(dn.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "dnumbers.cli", *argv],
+                                 stdout=write_end, stderr=subprocess.PIPE,
+                                 env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (141, b"")
+
     def test_unknown_flag_exits_3(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["measure", "--bogus"])

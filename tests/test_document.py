@@ -187,6 +187,11 @@ def test_x_pair_in_top_level_list():
                  '"masses": [{"set": ["X"], "mass": 1.0}]}',
                  "unknown['non_exclusivty']: unknown key; expected \"cardinality\" "
                  'or "non_exclusivity"', id="misspelled-unknown-key"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivty": '
+                 '[{"pair": ["a", "b"], "degree": 0.9}], '
+                 '"masses": [{"set": ["b"], "mass": 1.0}]}',
+                 '"non_exclusivty": unknown key; expected "frame", "unknown", '
+                 '"non_exclusivity", "masses" or "check"', id="misspelled-root-key"),
 ])
 def test_rejections(doc, needle):
     with pytest.raises(DocumentError) as err:
@@ -213,6 +218,23 @@ def test_all_violations_reported():
     with pytest.raises(DocumentError) as err:
         dn.parse_document(doc)
     assert len(err.value.errors) == 3
+
+
+def test_root_keys_reported_with_other_violations():
+    with pytest.raises(DocumentError) as err:
+        dn.parse_document(json.dumps({"frames": ["a"], "Masses": [],
+                                      "check": {"trial": 3}}))
+    assert err.value.errors == [
+        f'"{key}": unknown key; expected "frame", "unknown", "non_exclusivity", '
+        '"masses" or "check"' for key in ("frames", "Masses")
+    ] + ['"frame" must be a nonempty list of strings']
+
+
+def test_check_key_is_not_read():
+    doc = {"frame": ["a", "b"], "masses": [{"set": ["a"], "mass": 1.0}]}
+    plain = dn.parse_document(json.dumps(doc))
+    doc["check"] = {"trial": 0, "frame": 7, "masses": None}
+    assert dn.parse_document(json.dumps(doc)) == plain
 
 
 def test_unknown_key_reported_with_other_violations():

@@ -184,8 +184,8 @@ class TestCheckers:
         report.record(1.0, 1e-9, d, trial=1, pair=pair)
         assert not report.ok and report.max_violation == 1.0
         doc = report.failures[0]
-        assert doc["frame"] == ["a", "b"] and doc["trial"] == 1
-        assert doc["pair"] == document_dict(f, pair)
+        assert doc["frame"] == ["a", "b"] and doc["check"]["trial"] == 1
+        assert doc["check"]["pair"] == document_dict(f, pair)
 
     def test_degeneration_forces_classical_bpas(self):
         config = oracle.GeneratorConfig(frame_size=3, focal_count=3, seed=2)
