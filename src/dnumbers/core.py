@@ -79,7 +79,8 @@ class Frame:
     passes :func:`is_cardinality`. ``degrees`` is a read-only copy of a map
     from ``int`` pairs (i, j), 0 <= i < j <= N, to a degree in (0, 1];
     index N = ``len(elements)`` stands for X, absent pairs default to 0,
-    and anything else (a ``bool`` too) raises ``ValueError``.
+    and anything else (a ``bool`` too) raises ``ValueError``; subclasses of
+    ``tuple`` and ``float`` pass. One pass checks the table.
 
     ``adjacency`` is derived from ``degrees`` once, when the frame is
     made: for each index 0..N, X included, the bitmask of its stored
@@ -117,19 +118,19 @@ class Frame:
         x = len(elements)
         rows: list[dict[int, float]] = [{} for _ in range(x + 1)]
         for key, p in degrees.items():
+            # inlined, exact float before the call: runs once per stored pair
             if not (isinstance(key, tuple) and len(key) == 2
-                    and all(type(k) is int for k in key)
-                    and 0 <= key[0] < key[1] <= x):
+                    and type(i := key[0]) is int and type(j := key[1]) is int
+                    and 0 <= i < j <= x):
                 raise ValueError(f"degree key {key!r} is not a pair (i, j) "
                                  f"with 0 <= i < j <= {x}")
-            if not (is_number(p) and 0.0 < p <= 1.0):
+            if not ((type(p) is float or is_number(p)) and 0.0 < p <= 1.0):
                 raise ValueError(f"degree {p!r} for pair {key} outside (0, 1]")
-            i, j = key
             rows[i][j] = rows[j][i] = p
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "degrees", MappingProxyType(degrees))
         object.__setattr__(self, "adjacency", tuple(
-            (sum(1 << j for j in row), MappingProxyType(row)) for row in rows))
+            (sum(map((1).__lshift__, row)), MappingProxyType(row)) for row in rows))
 
     @property
     def size(self) -> int:
@@ -358,12 +359,14 @@ def _query_error(d: DNumber, a: int) -> ValueError:
 def bel(d: DNumber, a: int) -> float:
     """Belief of subset ``a``: total mass of focal sets contained in it.
 
-    A mask with bits outside the frame raises ``ValueError``.
+    A singleton or {X} contains no focal set but itself, so its Bel is
+    D({i}) read from ``d.masses``, the same ``float`` as the sum (no zeros
+    are stored). A mask with bits outside the frame raises ``ValueError``.
     """
     if not d.completed or a & ~d.frame.full_mask:
         raise _query_error(d, a)
-    if a == 0:
-        return 0.0
+    if a & (a - 1) == 0:  # one bit, or the empty set, which holds no mass
+        return float(d.masses.get(a, 0.0))
     return math.fsum(v for m, v in d.masses.items() if m & ~a == 0)
 
 

@@ -27,7 +27,6 @@ import json
 import math
 import sys
 import unicodedata
-from itertools import chain
 
 from .core import (
     MASS_TOL,
@@ -36,7 +35,6 @@ from .core import (
     Frame,
     build_dnumber,
     is_cardinality,
-    is_number,
     label_error,
 )
 
@@ -73,9 +71,12 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     :func:`_document_label_error`.
 
     The checks map each label to its index once, X to N, and key each
-    degree by its index pair and each mass by its mask. A valid document
-    then becomes a :class:`Frame` made straight from the nonzero degrees
-    and a :class:`DNumber` made by :func:`build_dnumber` from the masks;
+    degree by its index pair and each mass by its mask, found in one pass
+    over the set's labels. They test exact types (``type(x) is str``),
+    which is exact for ``json.loads`` output, and format an entry's
+    location only when the entry fails. A valid document then becomes a
+    :class:`Frame` made straight from the nonzero degrees and a
+    :class:`DNumber` made by :func:`build_dnumber` from the masks;
     :func:`build_frame` is not on this path.
     """
     if isinstance(text, bytes):
@@ -96,7 +97,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         if key not in ("frame", "unknown", "non_exclusivity", "masses", "check")]
 
     labels = doc.get("frame")
-    if not (labels and _labels(labels)):
+    if not (labels and type(labels) is list and all(type(x) is str for x in labels)):
         raise DocumentError([*errors, '"frame" must be a nonempty list of strings'])
     index = {X_LABEL: len(labels)}  # a repeated label keeps its first index
     for k, label in enumerate(labels):
@@ -120,47 +121,56 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     if X_LABEL in x_degrees:  # keys name frame elements, and X is not one
         errors.append(f"unknown.non_exclusivity[{X_LABEL!r}]: "
                       f"unknown label {X_LABEL!r}")
-    x_entries = ((f"unknown.non_exclusivity[{label!r}]", [label, X_LABEL], p)
-                 for label, p in x_degrees.items() if label != X_LABEL)
-    pair_entries = ((where, entry["pair"], entry["degree"]) for where, entry in
-                    _entries(errors, doc.get("non_exclusivity", []),
-                             "non_exclusivity", "pair", "degree"))
     # (i, j), i < j -> degree; zeros too, so a conflict shows in either order
     degrees: dict[tuple[int, int], float] = {}
-    for where, pair, degree in chain(x_entries, pair_entries):
-        if not (_labels(pair) and len(pair) == 2):
-            errors.append(f'{where}: "pair" must be two labels')
-        elif not is_number(degree) or not 0.0 <= degree <= 1.0:
-            errors.append(f"{where}: degree {degree!r} outside [0, 1]")
-        elif bad := [x for x in pair if x not in index]:
-            errors.append(f"{where}: unknown label {bad[0]!r}")
-        elif pair[0] == pair[1]:
-            errors.append(f"{where}: pair names {pair[0]!r} twice")
-        elif degrees.setdefault(tuple(sorted(map(index.get, pair))),
-                                float(degree)) != degree:
-            errors.append(f"{where}: conflicting degrees for pair "
-                          f"({pair[0]!r}, {pair[1]!r})")
+    for name, entries in (
+            ("unknown.non_exclusivity", ((label, [label, X_LABEL], p)
+                                         for label, p in x_degrees.items()
+                                         if label != X_LABEL)),
+            ("non_exclusivity", _entries(errors, doc.get("non_exclusivity", []),
+                                         "non_exclusivity", "pair", "degree"))):
+        for key, pair, degree in entries:
+            if not (type(pair) is list and len(pair) == 2
+                    and type(a := pair[0]) is str and type(b := pair[1]) is str):
+                error = '"pair" must be two labels'
+            elif not ((type(degree) is float or type(degree) is int)
+                      and 0.0 <= degree <= 1.0):
+                error = f"degree {degree!r} outside [0, 1]"
+            elif (i := index.get(a)) is None:
+                error = f"unknown label {a!r}"
+            elif (j := index.get(b)) is None:
+                error = f"unknown label {b!r}"
+            elif i == j:
+                error = f"pair names {a!r} twice"
+            elif degrees.setdefault((i, j) if i < j else (j, i),
+                                    float(degree)) == degree:
+                continue
+            else:
+                error = f"conflicting degrees for pair ({a!r}, {b!r})"
+            errors.append(f"{name}[{key!r}]: {error}")
 
     raw_masses = doc.get("masses")
     if not raw_masses:
         errors.append('"masses" must be a nonempty list')
         raw_masses = []
     masses: dict[int, float] = {}  # mask -> mass
-    for where, entry in _entries(errors, raw_masses, "masses", "set", "mass"):
-        subset, mass = entry["set"], entry["mass"]
-        if not _labels(subset):
-            errors.append(f'{where}: "set" must be a list of labels')
+    for k, subset, mass in _entries(errors, raw_masses, "masses", "set", "mass"):
+        mask, unknown_label = _subset_mask(subset, index)
+        if mask is None:
+            error = '"set" must be a list of labels'
         elif not subset:
-            errors.append(f"{where}: mass on empty set: D(∅) must be 0")
-        elif not is_number(mass) or not 0.0 <= mass <= 1.0 + MASS_TOL:
-            errors.append(f"{where}: mass must be a nonnegative number "
-                          f"no greater than 1, got {mass!r}")
-        elif bad := [x for x in subset if x not in index]:
-            errors.append(f"{where}: unknown label {bad[0]!r}")
-        elif (mask := sum({1 << index[x] for x in subset})) in masses:
-            errors.append(f"{where}: duplicate entry for set {sorted(subset)}")
+            error = "mass on empty set: D(∅) must be 0"
+        elif not ((type(mass) is float or type(mass) is int)
+                  and 0.0 <= mass <= 1.0 + MASS_TOL):
+            error = f"mass must be a nonnegative number no greater than 1, got {mass!r}"
+        elif unknown_label is not None:
+            error = f"unknown label {unknown_label!r}"
+        elif mask in masses:
+            error = f"duplicate entry for set {sorted(subset)}"
         else:
             masses[mask] = float(mass)
+            continue
+        errors.append(f"masses[{k}]: {error}")
 
     total = math.fsum(masses.values())
     if total > 1.0 + MASS_TOL:
@@ -210,21 +220,34 @@ def _object(errors: list[str], value, name: str) -> dict:
 
 
 def _entries(errors: list[str], value, name: str, first: str, second: str):
-    """Yield (location, entry) for each object in the list ``value`` that has
-    the fields ``first`` and ``second``; record an error for anything else."""
-    if not isinstance(value, list):
+    """Yield (k, entry[first], entry[second]) for each object ``entry`` at
+    index k of the list ``value`` that has both fields; record an error,
+    located as ``name[k]``, for anything else."""
+    if type(value) is not list:
         errors.append(f'"{name}" must be a list')
         return
     for k, entry in enumerate(value):
-        where = f"{name}[{k}]"
-        if isinstance(entry, dict) and first in entry and second in entry:
-            yield where, entry
+        if type(entry) is dict and first in entry and second in entry:
+            yield k, entry[first], entry[second]
         else:
-            errors.append(f'{where}: expected an object with "{first}" and "{second}"')
+            errors.append(f'{name}[{k}]: expected an object with "{first}" and "{second}"')
 
 
-def _labels(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+def _subset_mask(subset, index: dict[str, int]) -> tuple[int | None, str | None]:
+    """The mask of the labels in ``subset`` that ``index`` holds, and the
+    first label it does not hold, or ``None``; (``None``, ``None``) when
+    ``subset`` is not a list of labels. One pass over ``subset``."""
+    if type(subset) is not list:
+        return None, None
+    mask, unknown = 0, None
+    for label in subset:
+        if type(label) is not str:
+            return None, None
+        if (i := index.get(label)) is not None:
+            mask |= 1 << i
+        elif unknown is None:
+            unknown = label
+    return mask, unknown
 
 
 def document_dict(frame: Frame, d: DNumber) -> dict:

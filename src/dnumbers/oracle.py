@@ -200,12 +200,15 @@ def dst_ku_reference(bpa: DNumber) -> float:
 
 def _run_trials(name, trials, config, violation, tol, draw_context=None) -> CheckReport:
     """Check ``violation`` on trial t's :func:`generate` instance d, drawn from
-    ``trial_rng(config.seed, t)``, in ``draw_context(d, rng)`` or ``{"trial": t}``."""
+    ``trial_rng(config.seed, t)``, in the context ``{"trial": t}`` and what
+    ``draw_context(d, rng)`` draws next from that RNG."""
     report = CheckReport(name, trials)
     for t in range(trials):
         rng = trial_rng(config.seed, t)
         d = generate(config, rng)
-        context = draw_context(d, rng) if draw_context else {"trial": t}
+        context = {"trial": t}
+        if draw_context:
+            context.update(draw_context(d, rng))
         report.check(violation, tol, d, context)
     return report
 

@@ -360,6 +360,18 @@ class TestCheck:
         assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
         assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
 
+    @pytest.mark.parametrize("one_bit, code", [
+        (lambda d, a: d.masses.get(a, 0.0), 0),  # the branch itself
+        (lambda d, a: 0.0, 2),
+    ])
+    def test_mutated_one_bit_bel_fails_oracle(self, one_bit, code, capsys,
+                                              monkeypatch):
+        bel = core.bel
+        monkeypatch.setattr(core, "bel", lambda d, a: one_bit(d, a)
+                            if a & (a - 1) == 0 else bel(d, a))
+        assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
+        assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
+
     def test_counterexamples_fail_their_violation_again(self, capsys, monkeypatch,
                                                         tmp_path):
         monkeypatch.setattr(DNumber, "singleton_pl", property(kernel_mutant(min, True)))
@@ -380,6 +392,21 @@ class TestCheck:
                 _, context["pair"] = dn.parse_document(json.dumps(context["pair"]))
             violation, tol = suites[path.name.rsplit("-", 1)[0]]
             assert violation(d, context) > tol, path.name
+
+    def test_monotonicity_counterexamples_redraw_from_their_trial(
+            self, capsys, monkeypatch, tmp_path):
+        # KU reversed: the blend, which holds every interval, now has less
+        ku = dn.measures.ku
+        monkeypatch.setattr(dn.measures, "ku", lambda d: -ku(d))
+        assert cli.main(["check", "monotonicity", "--trials", "20", "--seed", "7",
+                         "--counterexample-dir", str(tmp_path)]) == 2
+        config = oracle.GeneratorConfig(frame_size=3, seed=7)
+        paths = sorted(tmp_path.glob("monotonicity-*.json"))
+        trials = [json.loads(path.read_text())["check"]["trial"] for path in paths]
+        assert len(paths) > 10 and trials == sorted(set(trials))
+        for path, t in zip(paths, trials):
+            _, d = dn.parse_document(path.read_bytes())
+            assert d == oracle.generate(config, oracle.trial_rng(7, t)), path.name
 
     def test_measure_raising_is_a_property_failure(self, capsys, monkeypatch,
                                                    tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import random
@@ -122,6 +123,26 @@ class TestFrameInvariants:
     def test_largest_cardinality_accepted(self):
         card = int(sys.float_info.max)
         assert dn.build_frame("a", card).unknown_cardinality == card
+
+    def test_float_subclass_degree_kept(self):
+        class Degree(float):
+            pass
+
+        f = dn.Frame(("a", "b"), None, {(0, 1): Degree(0.5)})
+        assert type(f.lookup(0, 1)) is Degree
+        assert f.adjacency[0][1][1] == 0.5 and f.nonexclusivity(1, 2) == 0.5
+        # bool is an int subclass, and no number
+        with pytest.raises(ValueError, match=r"degree True for pair \(0, 1\) outside"):
+            dn.Frame(("a", "b"), None, {(0, 1): True})
+
+    def test_tuple_subclass_key_kept(self):
+        Pair = collections.namedtuple("Pair", "i j")
+        f = dn.Frame(("a", "b"), None, {Pair(0, 1): 0.5})
+        assert f == dn.Frame(("a", "b"), None, {(0, 1): 0.5})
+        assert type(next(iter(f.degrees))) is Pair
+        assert f.adjacency == ((2, {1: 0.5}), (1, {0: 0.5}), (0, {}))
+        with pytest.raises(ValueError, match=r"key Pair\(i=1, j=0\) is not a pair"):
+            dn.Frame(("a", "b"), None, {Pair(1, 0): 0.5})
 
     def test_elements_kept_as_tuple(self):
         f = dn.Frame(["a", "b"], None, {(0, 1): 0.5})
@@ -378,6 +399,26 @@ class TestBelPl:
         d = dn.build_dnumber(f, [(f.theta_mask, 1.0)])
         assert dn.bel(d, 0) == 0.0
         assert dn.pl(d, 0) == 0.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(raw_dnumbers(), st.booleans())
+    def test_bel_of_one_bit_is_the_contained_sum(self, d, completed):
+        # the one-bit branch against the sum that every other subset takes
+        if completed:
+            d = dn.complete(d)
+        for i in range(d.frame.size + 1):  # X too
+            a = 1 << i
+            if not d.completed:
+                with pytest.raises(ValueError, match="completed"):
+                    dn.bel(d, a)
+                continue
+            expected = math.fsum(v for m, v in d.masses.items() if m & ~a == 0)
+            assert type(dn.bel(d, a)) is float and dn.bel(d, a) == expected
+
+    def test_bel_of_one_bit_is_a_float(self):
+        f = exclusive("ab")
+        d = dn.DNumber(f, {f.subset("a"): 1})
+        assert repr(dn.bel(d, f.subset("a"))) == repr(math.fsum([1])) == "1.0"
 
     @pytest.mark.parametrize("mask", [1 << 4, (1 << 70) | 1, -1])
     @pytest.mark.parametrize("measure", [dn.bel, dn.pl])

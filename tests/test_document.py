@@ -253,6 +253,101 @@ def test_unknown_key_reported_with_other_violations():
     ]
 
 
+EVERY_FAULT = {
+    "frame": ["a", "b", "c", "a", "d|e"],
+    "unknown": {"cardinality": 1, "non_exclusivity": {
+        "a": 0.5, "X": 0.5, "b": True, "c": 10 ** 400, "q": 0.5, "": 0.2}},
+    "non_exclusivity": [
+        {"pair": ["a", "b"], "degree": 0.3},
+        "not an entry",
+        {"pair": ["a", "c"]},
+        {"pair": ["b", "a"], "degree": 0.4},
+        {"pair": ["a", "X"], "degree": 0.6},
+        {"pair": ["c", "c"], "degree": 0.2},
+        {"pair": ["X", "X"], "degree": 1},
+        {"pair": ["a", "z"], "degree": 0.1},
+        {"pair": ["y", "z"], "degree": 0.1},
+        {"pair": ["a", "b", "c"], "degree": 0.1},
+        {"pair": ["a", 1], "degree": 0.1},
+        {"pair": "ab", "degree": 0.1},
+        {"pair": ["b", "c"], "degree": False},
+        {"pair": ["b", "c"], "degree": 10 ** 400},
+        {"pair": ["b", "c"], "degree": "0.5"},
+        {"pair": ["b", "c"], "degree": 0},
+        {"pair": ["c", "b"], "degree": 0.5},
+        {"pair": ["b", "a"], "degree": 0.3},
+    ],
+    "masses": [
+        {"set": ["a"], "mass": 0.5},
+        [],
+        {"set": ["b"]},
+        {"set": ["b", "a", "b"], "mass": 0.25},
+        {"set": ["a", "b"], "mass": 0.1},
+        {"set": [], "mass": 0.1},
+        {"set": ["q", "z"], "mass": 0.1},
+        {"set": ["a", 3], "mass": 0.1},
+        {"set": "a", "mass": 0.1},
+        {"set": ["X"], "mass": True},
+        {"set": ["X"], "mass": 10 ** 400},
+        {"set": ["X"], "mass": -0.1},
+        {"set": ["X", "c"], "mass": 0.5},
+        {"set": ["c", "X"], "mass": 0.5},
+    ],
+    "check": {"trial": 1},
+    "Frame": 1,
+}
+
+
+@pytest.mark.parametrize("encode", [str, str.encode])
+def test_every_fault_reported_in_order(encode):
+    # malformed entries between good ones, conflicts in either order (X
+    # pairs too), and each later fault of an entry hidden by its first
+    huge = 10 ** 400
+    mass_rule = "mass must be a nonnegative number no greater than 1, got"
+    with pytest.raises(DocumentError) as err:
+        dn.parse_document(encode(json.dumps(EVERY_FAULT)))
+    assert err.value.errors == [
+        '"Frame": unknown key; expected "frame", "unknown", "non_exclusivity", '
+        '"masses" or "check"',
+        "frame[3]: duplicate label 'a'",
+        "frame[4]: label 'd|e' contains '|'",
+        '"unknown.cardinality" must be an integer from 2 to 1.7976931348623157e+308, '
+        "got 1",
+        "unknown.non_exclusivity['X']: unknown label 'X'",
+        "unknown.non_exclusivity['b']: degree True outside [0, 1]",
+        f"unknown.non_exclusivity['c']: degree {huge} outside [0, 1]",
+        "unknown.non_exclusivity['q']: unknown label 'q'",
+        "unknown.non_exclusivity['']: unknown label ''",
+        'non_exclusivity[1]: expected an object with "pair" and "degree"',
+        'non_exclusivity[2]: expected an object with "pair" and "degree"',
+        "non_exclusivity[3]: conflicting degrees for pair ('b', 'a')",
+        "non_exclusivity[4]: conflicting degrees for pair ('a', 'X')",
+        "non_exclusivity[5]: pair names 'c' twice",
+        "non_exclusivity[6]: pair names 'X' twice",
+        "non_exclusivity[7]: unknown label 'z'",
+        "non_exclusivity[8]: unknown label 'y'",
+        'non_exclusivity[9]: "pair" must be two labels',
+        'non_exclusivity[10]: "pair" must be two labels',
+        'non_exclusivity[11]: "pair" must be two labels',
+        "non_exclusivity[12]: degree False outside [0, 1]",
+        f"non_exclusivity[13]: degree {huge} outside [0, 1]",
+        "non_exclusivity[14]: degree '0.5' outside [0, 1]",
+        "non_exclusivity[16]: conflicting degrees for pair ('c', 'b')",
+        'masses[1]: expected an object with "set" and "mass"',
+        'masses[2]: expected an object with "set" and "mass"',
+        "masses[4]: duplicate entry for set ['a', 'b']",
+        "masses[5]: mass on empty set: D(∅) must be 0",
+        "masses[6]: unknown label 'q'",
+        'masses[7]: "set" must be a list of labels',
+        'masses[8]: "set" must be a list of labels',
+        f"masses[9]: {mass_rule} True",
+        f"masses[10]: {mass_rule} {huge}",
+        f"masses[11]: {mass_rule} -0.1",
+        "masses[13]: duplicate entry for set ['X', 'c']",
+        "total mass 1.25 exceeds 1",
+    ]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(1, 64), st.sampled_from([0.05, 0.5, 1.0]), st.integers(0, 2 ** 32))
 def test_non_canonical_document_builds_what_the_library_builds(n, density, seed):

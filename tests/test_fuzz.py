@@ -44,7 +44,9 @@ def documents(draw):
     frame = draw(_mostly(st.lists(st.sampled_from(["a", "b", "é"]), min_size=1,
                                   max_size=3, unique=True),
                          st.lists(st.sampled_from(LABELS), max_size=3) | json_values))
-    known = frame + ["X"] if isinstance(frame, list) and frame else ["a"]
+    # a frame from json_values can hold lists and dicts, which cannot be keys
+    known = ([x for x in frame if isinstance(x, str)] + ["X"]
+             if isinstance(frame, list) and frame else ["a"])
     label = _mostly(st.sampled_from(known), st.sampled_from(LABELS + ["z"]))
     number = _mostly(st.floats(0.0, 0.5),
                      st.floats() | st.sampled_from([-1, 1, 2, 10 ** 400]))
