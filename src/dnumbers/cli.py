@@ -180,8 +180,8 @@ def cmd_check(args) -> int:
                 out.mkdir(parents=True, exist_ok=True)
                 for k, doc in enumerate(report.failures):
                     path = out / f"{report.name}-{k:04d}.json"
-                    path.write_text(json.dumps(doc, indent=2,
-                                               ensure_ascii=False) + "\n")
+                    path.write_text(json.dumps(doc, indent=2, ensure_ascii=False)
+                                    + "\n", encoding="utf-8")
     return EXIT_PROPERTY if failed else EXIT_OK
 
 

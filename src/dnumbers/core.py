@@ -9,6 +9,7 @@ bit N reserved for X.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -32,17 +33,59 @@ def is_cardinality(value) -> bool:
     return type(value) is int and 2 <= value <= sys.float_info.max
 
 
+#: The characters of label rules 1 and 5-7: surrogates, Cc, U+2028, U+2029, "|"
+_FORBIDDEN = re.compile("[\ud800-\udfff\x00-\x1f\x7f-\x9f\u2028\u2029|]")
+
+
 def label_error(label: str, before) -> str | None:
     """Why ``label`` cannot follow the labels ``before`` in a frame, or ``None``.
 
-    A label must be nonempty, other than "X" and not among ``before``.
-    :class:`Frame` raises the reason and ``parse_document`` reports it.
+    The rules, first broken first reported: (1) valid Unicode text, as
+    UTF-8 cannot encode a lone surrogate; (2) nonempty; (3) other than "X";
+    (4) not among ``before``; no (5) control character (Cc) or (6) U+2028
+    or U+2029, which split a table row; (7) no "|", which joins labels in
+    ``measure --subsets all``. :class:`Frame` raises the reason and
+    ``parse_document`` reports it as ``frame[k]``.
     """
+    found = _FORBIDDEN.findall(label)  # empty for nearly every label
+    if found and max(found) >= "\ud800":  # surrogates sort last in the class
+        return f"label {label!r} is not valid Unicode text"
     if not label:
         return "label must be nonempty"
     if label == X_LABEL:
         return f"label {X_LABEL!r} is reserved for the unknown element"
-    return f"duplicate label {label!r}" if label in before else None
+    if label in before:
+        return f"duplicate label {label!r}"
+    if not found:
+        return None
+    if any(c < " " or "\x7f" <= c <= "\x9f" for c in found):
+        return f"label {label!r} contains a control character"
+    if "\u2028" in found or "\u2029" in found:
+        return f"label {label!r} contains a line or paragraph separator"
+    return f"label {label!r} contains '|'"
+
+
+def pair_error(index: Mapping[str, int], degrees: dict[tuple[int, int], float],
+               a, b, p) -> str | None:
+    """Why labels ``a`` and ``b`` cannot have degree ``p``, or ``None``.
+
+    The rules, first broken first reported: p is an ``int`` or ``float``,
+    not a ``bool``, in [0, 1]; ``index`` (each label to its index, "X"
+    too) holds both labels; they differ; the pair is not in ``degrees``
+    with another degree. Else ``float(p)`` is recorded in ``degrees``,
+    keyed (i, j), i < j, zeros too. ``parse_document`` reports the reason
+    at the entry, and :func:`build_frame` raises it.
+    """
+    if not ((type(p) is float or is_number(p)) and 0.0 <= p <= 1.0):
+        return f"degree {p!r} outside [0, 1]"
+    i, j = index.get(a), index.get(b)
+    if i is None or j is None:
+        return f"unknown label {(a if i is None else b)!r}"
+    if i == j:
+        return f"pair names {a!r} twice"
+    if degrees.setdefault((i, j) if i < j else (j, i), float(p)) != p:
+        return f"conflicting degrees for pair ({a!r}, {b!r})"
+    return None
 
 
 class _computed_once:
@@ -75,7 +118,8 @@ class Frame:
     """Ordered element labels, the unknown element X, and pairwise degrees.
 
     ``elements`` is kept as a tuple of at least one ``str`` label, each
-    passing :func:`label_error`; ``unknown_cardinality`` is ``None`` or
+    passing the seven rules of :func:`label_error`, so every frame can be
+    written as a document; ``unknown_cardinality`` is ``None`` or
     passes :func:`is_cardinality`. ``degrees`` is a read-only copy of a map
     from ``int`` pairs (i, j), 0 <= i < j <= N, to a degree in (0, 1];
     index N = ``len(elements)`` stands for X, absent pairs default to 0,
@@ -229,27 +273,19 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
     and builds its :class:`Frame` from them directly.
 
     ``unknown_cardinality`` is "unknown" or ``None`` for an unknown size.
-    ``degrees`` is an iterable of ((label_a, label_b), p) pairs, p in
-    [0, 1]; labels may include the reserved "X". The symmetric closure is
-    taken, identical-label pairs are forced to degree 1, and zeros are not
-    stored. A pair given twice must get the same degree, zero included.
+    ``degrees`` is an iterable of ((label_a, label_b), p) pairs; labels may
+    include the reserved "X". A pair that breaks a :func:`pair_error` rule
+    raises its reason: p is not converted, so "0.3" and ``True`` are
+    rejected, and so is a pair naming one label twice. The symmetric
+    closure is taken, and zeros are not stored.
     """
     labels = tuple(labels)
     index = {label: i for i, label in enumerate(labels)}
     index[X_LABEL] = len(labels)
-    given: dict[tuple[int, int], float] = {}  # zeros too, to catch conflicts
-    for (la, lb), p in degrees:
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"degree {p} for pair ({la!r}, {lb!r}) outside [0, 1]")
-        for label in (la, lb):
-            if label not in index:
-                raise ValueError(f"unknown label {label!r}")
-        i, j = sorted((index[la], index[lb]))
-        if i == j:
-            continue  # forced to 1, never stored
-        if given.setdefault((i, j), p) != p:
-            raise ValueError(f"conflicting degrees for pair ({la!r}, {lb!r})")
+    given: dict[tuple[int, int], float] = {}
+    for (a, b), p in degrees:
+        if reason := pair_error(index, given, a, b, p):
+            raise ValueError(reason)
     card = None if unknown_cardinality == "unknown" else unknown_cardinality
     return Frame(labels, card, {key: p for key, p in given.items() if p})
 

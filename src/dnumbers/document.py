@@ -18,7 +18,10 @@ counterexample was checked with; nothing under ``check`` is read. Degrees
 involving the unknown element live under ``unknown.non_exclusivity`` as a
 label-to-degree mapping; pairs naming "X" in the top-level list are also
 accepted on input.
-Canonical documents round-trip bit-exactly through serialize ∘ parse.
+
+This module checks the JSON shape; ``core.label_error`` and
+``core.pair_error`` hold the label and degree rules. Every frame serializes,
+and canonical documents round-trip bit-exactly through serialize ∘ parse.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import unicodedata
 
 from .core import (
     MASS_TOL,
@@ -36,6 +38,7 @@ from .core import (
     build_dnumber,
     is_cardinality,
     label_error,
+    pair_error,
 )
 
 
@@ -56,19 +59,16 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     ``"unknown"``), and an unknown root key is named as a JSON string
     (``"non_exclusivty"``); a second, different degree for one pair is
     reported at the later entry. The frame must be a nonempty list of
-    labels, each nonempty, unique, other than "X", valid Unicode text, and
-    free of control characters, line and paragraph separators, and "|".
-    ``unknown`` may hold only ``cardinality``, an integer from 2 to
-    ``sys.float_info.max``, and ``non_exclusivity``. A pair must name two
-    different labels. An ``unknown.non_exclusivity`` item ``{label: p}`` is
-    checked as the pair entry ``([label, "X"], p)``, and its key must be a
-    frame label. Duplicate mass entries for the same set are rejected
-    outright to surface authoring errors. The total mass is summed with
-    ``math.fsum``, as :class:`DNumber` sums it, and may exceed 1 by at most
-    ``MASS_TOL``. The label and cardinality rules shared with :class:`Frame`
-    are :func:`label_error` and :func:`is_cardinality`; the label rules of
-    a document, which :func:`serialize_document` applies too, are
-    :func:`_document_label_error`.
+    labels, each passing :func:`label_error`, the rules :class:`Frame`
+    holds. ``unknown`` may hold only ``cardinality``, an integer from 2 to
+    ``sys.float_info.max`` (:func:`is_cardinality`), and
+    ``non_exclusivity``. A pair entry must be two labels, and then passes
+    :func:`pair_error`, the rules :func:`build_frame` holds. An
+    ``unknown.non_exclusivity`` item ``{label: p}`` is checked as the pair
+    entry ``([label, "X"], p)``, and its key must be a frame label.
+    Duplicate mass entries for the same set are rejected outright to
+    surface authoring errors. The total mass is summed with ``math.fsum``,
+    as :class:`DNumber` sums it, and may exceed 1 by at most ``MASS_TOL``.
 
     The checks map each label to its index once, X to N, and key each
     degree by its index pair and each mass by its mask, found in one pass
@@ -101,7 +101,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         raise DocumentError([*errors, '"frame" must be a nonempty list of strings'])
     index = {X_LABEL: len(labels)}  # a repeated label keeps its first index
     for k, label in enumerate(labels):
-        if reason := _document_label_error(label, index):
+        if reason := label_error(label, index):
             errors.append(f"frame[{k}]: {reason}")
         index.setdefault(label, k)
 
@@ -133,20 +133,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
             if not (type(pair) is list and len(pair) == 2
                     and type(a := pair[0]) is str and type(b := pair[1]) is str):
                 error = '"pair" must be two labels'
-            elif not ((type(degree) is float or type(degree) is int)
-                      and 0.0 <= degree <= 1.0):
-                error = f"degree {degree!r} outside [0, 1]"
-            elif (i := index.get(a)) is None:
-                error = f"unknown label {a!r}"
-            elif (j := index.get(b)) is None:
-                error = f"unknown label {b!r}"
-            elif i == j:
-                error = f"pair names {a!r} twice"
-            elif degrees.setdefault((i, j) if i < j else (j, i),
-                                    float(degree)) == degree:
+            elif not (error := pair_error(index, degrees, a, b, degree)):
                 continue
-            else:
-                error = f"conflicting degrees for pair ({a!r}, {b!r})"
             errors.append(f"{name}[{key!r}]: {error}")
 
     raw_masses = doc.get("masses")
@@ -186,29 +174,6 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     except ValueError as exc:
         raise DocumentError([str(exc)]) from None
     return frame, d
-
-
-def _document_label_error(label: str, before) -> str | None:
-    """Why ``label`` cannot follow the labels ``before`` in a document, or ``None``.
-
-    On top of :func:`label_error`, a document label must be valid Unicode
-    text and hold no control character, line or paragraph separator, or
-    "|", so that every CLI output format can carry it.
-    """
-    # JSON escapes can give lone surrogates, which UTF-8 cannot encode
-    if any("\ud800" <= c <= "\udfff" for c in label):
-        return f"label {label!r} is not valid Unicode text"
-    if reason := label_error(label, before):
-        return reason
-    # splits a table row; the csv writer leaves a lone "\r" unquoted
-    if any(unicodedata.category(c) == "Cc" for c in label):
-        return f"label {label!r} contains a control character"
-    # U+2028, U+2029: the line breaks str.splitlines() knows beyond Cc
-    if any(unicodedata.category(c) in ("Zl", "Zp") for c in label):
-        return f"label {label!r} contains a line or paragraph separator"
-    if "|" in label:  # --subsets all joins labels with "|"
-        return f"label {label!r} contains '|'"
-    return None
 
 
 def _object(errors: list[str], value, name: str) -> dict:
@@ -278,11 +243,7 @@ def document_dict(frame: Frame, d: DNumber) -> dict:
 def serialize_document(frame: Frame, d: DNumber) -> str:
     """Canonical UTF-8 JSON text; byte-identical for equal inputs.
 
-    A frame label that :func:`parse_document` would reject raises
-    ``ValueError`` naming it, so every text written parses back.
+    Every :class:`Frame` serializes, and the text parses back to it:
+    ``Frame`` holds the same label rules as :func:`parse_document`.
     """
-    for label in frame.elements:
-        # Frame has checked the rules of label_error, uniqueness included
-        if reason := _document_label_error(label, ()):
-            raise ValueError(reason)
     return json.dumps(document_dict(frame, d), indent=2, ensure_ascii=False) + "\n"

@@ -18,7 +18,7 @@ from dnumbers.core import DNumber, Frame, iter_indices
 def doc_path(tmp_path):
     def write(doc, name="d.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         return str(path)
     return write
 
@@ -210,7 +210,8 @@ class TestMeasure:
     def test_nan_mass_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"frame": ["a", "b"], "masses": '
-                        '[{"set": ["a"], "mass": NaN}, {"set": ["b"], "mass": 0.5}]}')
+                        '[{"set": ["a"], "mass": NaN}, {"set": ["b"], "mass": 0.5}]}',
+                        encoding="utf-8")
         assert cli.main(["measure", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -321,7 +322,7 @@ class TestCheck:
         assert "FAIL oracle" in capsys.readouterr().out
         written = list((tmp_path / "cx").glob("oracle-*.json"))
         assert written
-        json.loads(written[0].read_text())
+        json.loads(written[0].read_text(encoding="utf-8"))
 
     def test_mutated_adjacency_fails_oracle(self, capsys, monkeypatch):
         # drop every pair with X from the adjacency but not from ``degrees``,
@@ -387,7 +388,7 @@ class TestCheck:
         assert paths
         for path in paths:
             _, d = dn.parse_document(path.read_bytes())
-            context = json.loads(path.read_text())["check"]
+            context = json.loads(path.read_text(encoding="utf-8"))["check"]
             if "pair" in context:
                 _, context["pair"] = dn.parse_document(json.dumps(context["pair"]))
             violation, tol = suites[path.name.rsplit("-", 1)[0]]
@@ -402,7 +403,8 @@ class TestCheck:
                          "--counterexample-dir", str(tmp_path)]) == 2
         config = oracle.GeneratorConfig(frame_size=3, seed=7)
         paths = sorted(tmp_path.glob("monotonicity-*.json"))
-        trials = [json.loads(path.read_text())["check"]["trial"] for path in paths]
+        trials = [json.loads(path.read_text(encoding="utf-8"))["check"]["trial"]
+                  for path in paths]
         assert len(paths) > 10 and trials == sorted(set(trials))
         for path, t in zip(paths, trials):
             _, d = dn.parse_document(path.read_bytes())
@@ -421,7 +423,7 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "FAIL oracle: trials=20 failures=20 max_violation=inf" in captured.out
         assert captured.err == ""
-        docs = [json.loads(path.read_text())
+        docs = [json.loads(path.read_text(encoding="utf-8"))
                 for path in sorted((tmp_path / "cx").glob("oracle-*.json"))]
         assert len(docs) == 20
         raised = [doc for doc in docs if "error" in doc["check"]]
@@ -459,7 +461,7 @@ class TestGen:
         assert cli.main(["gen", "--frame-size", "3", "--seed", "11",
                          "--completeness", "incomplete",
                          "--out", str(path)]) == 0
-        _, d = dn.parse_document(path.read_text())
+        _, d = dn.parse_document(path.read_text(encoding="utf-8"))
         assert d.total_mass < 1.0
 
     def test_stdout(self, capsys):
@@ -476,7 +478,7 @@ class TestGen:
         assert cli.main(["gen", "--frame-size", "1", "--out", str(path)]) == 0
         assert cli.main(["validate", str(path)]) == 0
         # the default is the only nonempty subset, not three
-        _, d = dn.parse_document(path.read_text())
+        _, d = dn.parse_document(path.read_text(encoding="utf-8"))
         assert len(d.masses) == 1
         assert cli.main(["gen", "--frame-size", "1", "--focal-count", "3"]) == 3
         assert "focal count 3 infeasible" in capsys.readouterr().err

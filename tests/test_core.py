@@ -3,13 +3,14 @@ import dataclasses
 import math
 import random
 import sys
+import unicodedata
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import dnumbers as dn
-from dnumbers.core import iter_indices
+from dnumbers.core import iter_indices, label_error
 
 from conftest import completed_dnumbers, raw_dnumbers
 
@@ -80,9 +81,8 @@ class TestBuildFrame:
         assert dict(f.degrees) == {}
 
     def test_identical_label_pair_is_not_stored(self):
-        f = dn.build_frame("ab", 2, [(("a", "a"), 0.3)])
-        assert dict(f.degrees) == {}
-        assert f.lookup(0, 0) == 1.0
+        with pytest.raises(ValueError, match=r"^pair names 'a' twice$"):
+            dn.build_frame("ab", 2, [(("a", "a"), 0.3)])
 
     def test_subset_of_unknown_label(self):
         with pytest.raises(ValueError, match="unknown label 'z'"):
@@ -150,6 +150,42 @@ class TestFrameInvariants:
         assert f.elements == ("a", "b")
         with pytest.raises(AttributeError):
             f.elements.append("c")
+
+
+def reference_label_error(label, before):
+    """The seven label rules read from Unicode categories, in their order."""
+    categories = {unicodedata.category(c) for c in label}
+    if "Cs" in categories:
+        return f"label {label!r} is not valid Unicode text"
+    if not label:
+        return "label must be nonempty"
+    if label == "X":
+        return "label 'X' is reserved for the unknown element"
+    if label in before:
+        return f"duplicate label {label!r}"
+    if "Cc" in categories:
+        return f"label {label!r} contains a control character"
+    if categories & {"Zl", "Zp"}:
+        return f"label {label!r} contains a line or paragraph separator"
+    if "|" in label:
+        return f"label {label!r} contains '|'"
+    return None
+
+
+def test_label_rules_against_unicode_categories_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    forbidden = [c for c in every if c == "|"
+                 or unicodedata.category(c) in ("Cs", "Cc", "Zl", "Zp")]
+    assert len(forbidden) == 2048 + 65 + 2 + 1
+    # one label holding every other code point
+    assert label_error(every.translate(dict.fromkeys(map(ord, forbidden))),
+                       ()) is None
+    for c in forbidden:
+        for label in (c, f"a{c}b", f"{c}|", f"|{c}", f"\u2028{c}",
+                      f"{c}\x7f", f"X{c}"):
+            for before in ((), {label}):
+                assert (label_error(label, before)
+                        == reference_label_error(label, before))
 
 
 class TestNonexclusivity:

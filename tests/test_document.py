@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 import dnumbers as dn
 from dnumbers import oracle
-from dnumbers.document import DocumentError, document_dict
+from dnumbers.document import DocumentError
 
 from conftest import raw_dnumbers
 
@@ -71,7 +71,7 @@ def test_x_pair_in_top_level_list():
     assert frame.lookup(0, frame.x_index) == 0.4
 
 
-@pytest.mark.parametrize("doc,needle", [
+REJECTIONS = [
     ("not json", "syntax error"),
     ('["list"]', "root"),
     ('{"masses": []}', '"frame"'),
@@ -192,7 +192,10 @@ def test_x_pair_in_top_level_list():
                  '"masses": [{"set": ["b"], "mass": 1.0}]}',
                  '"non_exclusivty": unknown key; expected "frame", "unknown", '
                  '"non_exclusivity", "masses" or "check"', id="misspelled-root-key"),
-])
+]
+
+
+@pytest.mark.parametrize("doc,needle", REJECTIONS)
 def test_rejections(doc, needle):
     with pytest.raises(DocumentError) as err:
         dn.parse_document(doc)
@@ -416,13 +419,100 @@ def test_generated_round_trip_bytes():
     ("\ud800", "not valid Unicode text"),
     ("a\u2028b", "line or paragraph separator"),
 ])
-def test_serialize_rejects_labels_a_document_cannot_hold(label, needle):
-    frame = dn.build_frame(["ok", label], 2)
-    d = dn.build_dnumber(frame, [(frame.subset(["ok"]), 1.0)])
-    with pytest.raises(ValueError, match=needle) as err:
-        dn.serialize_document(frame, d)
-    assert repr(label) in str(err.value)
-    # parse_document gives the same reason for the same label
+def test_frame_rejects_labels_a_document_cannot_hold(label, needle):
     with pytest.raises(DocumentError) as parsed:
-        dn.parse_document(json.dumps(document_dict(frame, d)))
-    assert parsed.value.errors == [f"frame[1]: {err.value}"]
+        dn.parse_document(json.dumps({"frame": ["ok", label],
+                                      "masses": [{"set": ["ok"], "mass": 1.0}]}))
+    (error,) = parsed.value.errors
+    assert needle in error and repr(label) in error
+    for make in (lambda: dn.Frame(("ok", label), 2, {}),
+                 lambda: dn.build_frame(["ok", label], 2)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert f"frame[1]: {err.value}" == error
+
+
+frame_labels = st.lists(st.one_of(st.sampled_from(["a", "b", "X", "", "|", "\u2029"]),
+                                  st.text(),
+                                  st.text(st.characters(codec=None), max_size=3)),
+                        min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(frame_labels)
+def test_frame_accepts_the_labels_a_document_accepts(labels):
+    try:
+        frame = dn.Frame(labels, None, {})
+    except ValueError as exc:
+        reason = str(exc)
+    else:
+        reason = None
+    doc = {"frame": labels, "masses": [{"set": [labels[0]], "mass": 1.0}]}
+    try:
+        parsed, d = dn.parse_document(json.dumps(doc))
+    except DocumentError as exc:
+        assert reason is not None
+        first = exc.errors[0]
+        assert first.startswith("frame[") and first.split("]: ", 1)[1] == reason
+    else:
+        assert reason is None and parsed == frame
+        # every Frame round-trips, X degrees and pairs included
+        n = len(labels)
+        frame = dn.Frame(labels, None, {(0, n): 0.5, (0, n - 1): 1.0} if n > 1
+                         else {(0, 1): 0.5})
+        d = dn.DNumber(frame, {1: 1.0})
+        text = dn.serialize_document(frame, d)
+        assert dn.parse_document(text) == (frame, d)
+        assert dn.parse_document(text.encode("utf-8")) == (frame, d)
+
+
+def _degree_case(doc):
+    """(labels, degrees, reason) in build_frame's terms for a document of
+    ``REJECTIONS`` whose every fault breaks a label-pair degree rule, else
+    ``None``. A fault in an entry's shape, and an ``unknown.non_exclusivity``
+    keyed "X", are the document's own checks."""
+    if not isinstance(doc, str):
+        return None
+    try:
+        dn.parse_document(doc)
+    except DocumentError as exc:
+        errors = exc.errors
+    located = [e.split("]: ", 1) for e in errors
+               if e.startswith(("non_exclusivity[", "unknown.non_exclusivity["))]
+    if len(located) < len(errors) or any(
+            reason.startswith(('"pair"', "expected")) or where.endswith("'X'")
+            for where, reason in located):
+        return None
+    doc = json.loads(doc)
+    degrees = [((label, "X"), p) for label, p in
+               doc.get("unknown", {}).get("non_exclusivity", {}).items()]
+    degrees += [(tuple(e["pair"]), e["degree"]) for e in doc.get("non_exclusivity", [])]
+    return doc["frame"], degrees, located[0][1]
+
+
+DEGREE_REJECTIONS = [case for case in (_degree_case(getattr(p, "values", p)[0])
+                                       for p in REJECTIONS) if case]
+
+
+def test_degree_rejections_found():
+    assert len(DEGREE_REJECTIONS) == 8
+
+
+@pytest.mark.parametrize("labels, degrees, reason", DEGREE_REJECTIONS)
+def test_build_frame_gives_the_document_degree_reason(labels, degrees, reason):
+    with pytest.raises(ValueError) as err:
+        dn.build_frame(labels, 2, degrees)
+    assert str(err.value) == reason
+
+
+@pytest.mark.parametrize("degree", ["0.3", True])
+def test_build_frame_does_not_coerce_degree(degree):
+    with pytest.raises(ValueError) as err:
+        dn.build_frame("ab", 2, [(("a", "b"), degree)])
+    with pytest.raises(DocumentError) as parsed:
+        dn.parse_document(json.dumps({
+            "frame": ["a", "b"],
+            "non_exclusivity": [{"pair": ["a", "b"], "degree": degree}],
+            "masses": [{"set": ["a"], "mass": 1.0}]}))
+    assert parsed.value.errors == [f"non_exclusivity[0]: {err.value}"]
+    assert str(err.value) == f"degree {degree!r} outside [0, 1]"
