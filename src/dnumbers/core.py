@@ -12,7 +12,7 @@ import math
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 #: Tolerance for mass-sum validation.
@@ -66,16 +66,20 @@ def label_error(label: str, before) -> str | None:
 
 
 def pair_error(index: Mapping[str, int], degrees: dict[tuple[int, int], float],
-               a, b, p) -> str | None:
-    """Why labels ``a`` and ``b`` cannot have degree ``p``, or ``None``.
+               pair, p) -> str | None:
+    """Why the labels in ``pair`` cannot have degree ``p``, or ``None``.
 
-    The rules, first broken first reported: p is an ``int`` or ``float``,
-    not a ``bool``, in [0, 1]; ``index`` (each label to its index, "X"
-    too) holds both labels; they differ; the pair is not in ``degrees``
-    with another degree. Else ``float(p)`` is recorded in ``degrees``,
-    keyed (i, j), i < j, zeros too. ``parse_document`` reports the reason
-    at the entry, and :func:`build_frame` raises it.
+    The rules, first broken first reported: ``pair`` is a list or tuple of
+    two ``str`` labels; p is an ``int`` or ``float``, not a ``bool``, in
+    [0, 1]; ``index`` (each label to its index, "X" too) holds both
+    labels; they differ; the pair is not in ``degrees`` with another
+    degree. Else ``float(p)`` is recorded in ``degrees``, keyed (i, j),
+    i < j, zeros too. ``parse_document`` reports the reason at the entry,
+    and :func:`build_frame` raises it.
     """
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and isinstance(a := pair[0], str) and isinstance(b := pair[1], str)):
+        return '"pair" must be two labels'
     if not ((type(p) is float or is_number(p)) and 0.0 <= p <= 1.0):
         return f"degree {p!r} outside [0, 1]"
     i, j = index.get(a), index.get(b)
@@ -129,10 +133,13 @@ class Frame:
     ``adjacency`` is derived from ``degrees`` once, when the frame is
     made: for each index 0..N, X included, the bitmask of its stored
     neighbours and a read-only map from neighbour index to degree. It
-    takes no part in equality or ``repr``. :meth:`nonexclusivity` reads
-    it, so a call on disjoint sets costs one mask intersection per member
-    of the smaller set plus one read per stored pair between the sets;
-    :attr:`DNumber.singleton_pl` reads it too.
+    takes no part in equality or ``repr``. Invariant: every map lists
+    its neighbours strongest-first, by non-increasing degree, ties in the
+    order of ``degrees``; the rows are filled from the table sorted once.
+    :meth:`nonexclusivity` reads the maps by key, so a call on disjoint
+    sets costs one mask intersection per member of the smaller set plus
+    one read per stored pair between the sets;
+    :attr:`DNumber.singleton_pl` walks them in order.
     :meth:`lookup` reads ``degrees``, which keeps it an independent route
     for the oracle. Instances are immutable, tables included.
     """
@@ -160,17 +167,18 @@ class Frame:
                              f"and at most {sys.float_info.max!r}")
         degrees = dict(self.degrees)
         x = len(elements)
-        rows: list[dict[int, float]] = [{} for _ in range(x + 1)]
         for key, p in degrees.items():
             # inlined, exact float before the call: runs once per stored pair
             if not (isinstance(key, tuple) and len(key) == 2
-                    and type(i := key[0]) is int and type(j := key[1]) is int
-                    and 0 <= i < j <= x):
+                    and type(key[0]) is int and type(key[1]) is int
+                    and 0 <= key[0] < key[1] <= x):
                 raise ValueError(f"degree key {key!r} is not a pair (i, j) "
                                  f"with 0 <= i < j <= {x}")
             if not ((type(p) is float or is_number(p)) and 0.0 < p <= 1.0):
                 raise ValueError(f"degree {p!r} for pair {key} outside (0, 1]")
-            rows[i][j] = rows[j][i] = p
+        rows: list[dict[int, float]] = [{} for _ in range(x + 1)]
+        for i, j in sorted(degrees, key=degrees.__getitem__, reverse=True):
+            rows[i][j] = rows[j][i] = degrees[i, j]
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "degrees", MappingProxyType(degrees))
         object.__setattr__(self, "adjacency", tuple(
@@ -273,21 +281,25 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
     and builds its :class:`Frame` from them directly.
 
     ``unknown_cardinality`` is "unknown" or ``None`` for an unknown size.
-    ``degrees`` is an iterable of ((label_a, label_b), p) pairs; labels may
-    include the reserved "X". A pair that breaks a :func:`pair_error` rule
-    raises its reason: p is not converted, so "0.3" and ``True`` are
-    rejected, and so is a pair naming one label twice. The symmetric
-    closure is taken, and zeros are not stored.
+    The labels and the cardinality are checked first, then ``degrees``, an
+    iterable of ((label_a, label_b), p) entries; labels may include the
+    reserved "X". An entry that is not a (pair, p) tuple or list, or a
+    pair that breaks a :func:`pair_error` rule, raises the reason: p is
+    not converted, so "0.3" and ``True`` are rejected, and so is a pair
+    naming one label twice. The symmetric closure is taken, and zeros are
+    not stored.
     """
-    labels = tuple(labels)
-    index = {label: i for i, label in enumerate(labels)}
-    index[X_LABEL] = len(labels)
-    given: dict[tuple[int, int], float] = {}
-    for (a, b), p in degrees:
-        if reason := pair_error(index, given, a, b, p):
-            raise ValueError(reason)
     card = None if unknown_cardinality == "unknown" else unknown_cardinality
-    return Frame(labels, card, {key: p for key, p in given.items() if p})
+    frame = Frame(labels, card, {})
+    index = {label: i for i, label in enumerate(frame.elements)}
+    index[X_LABEL] = frame.x_index
+    given: dict[tuple[int, int], float] = {}
+    for entry in degrees:
+        is_pair = isinstance(entry, (tuple, list)) and len(entry) == 2
+        pair, p = entry if is_pair else (None, None)
+        if reason := pair_error(index, given, pair, p):
+            raise ValueError(reason)
+    return replace(frame, degrees={key: p for key, p in given.items() if p})
 
 
 @dataclass(frozen=True)
@@ -331,28 +343,60 @@ class DNumber:
 
     @_computed_once
     def singleton_pl(self) -> tuple[float, ...]:
-        """Pl({i}) for every index 0..N, X last, from one pass over the focal sets.
+        """Pl({i}) for every index 0..N, X last, from one sweep per index.
 
-        Each focal set b reaches index i with degree 1 when i is in b and
-        otherwise with the largest degree between i and a member of b, read
-        from the members' ``Frame.adjacency`` rows. That is the factor
-        :meth:`Frame.nonexclusivity` gives for (b, {i}), so the products
-        ``degree * D(b)`` are the ones :func:`pl` would sum, and ``fsum``
-        makes the totals bit-identical. Costs Σ_b Σ_{j∈b} deg(j).
+        A one-member focal set {j} reaches j with degree 1 and each
+        neighbour i of j with p(i, j), read off j's ``Frame.adjacency``
+        row. For the wider sets, one pass over their bits finds the sets
+        holding each index j (positions in ``masses`` order). The sets
+        holding i reach it with degree 1. Then i's row is walked
+        strongest-first, and a neighbour j with degree p reaches the sets
+        holding j that no earlier step reached: p is the largest degree
+        between i and a member of such a set b. The walk stops once every
+        set is reached, and is skipped when i has no neighbour in them.
+        Each degree is the factor :meth:`Frame.nonexclusivity` gives for
+        (b, {i}), so the products ``degree * D(b)`` are the ones
+        :func:`pl` would sum, and ``fsum`` makes the totals bit-identical.
+        Costs one row per one-member set, Σ_b |b| bits for the others,
+        then per index the walk up to its first full cover, plus one
+        product per reached (i, b).
         """
         adjacency = self.frame.adjacency
         terms: list[list[float]] = [[] for _ in adjacency]
+        weights = []  # D(b) of the wider focal sets, by position
+        holds = [0] * len(adjacency)  # index -> positions of the wider sets holding it
+        support = 0
         for b, w in self.masses.items():
-            first, *rest = iter_indices(b)
-            reach = adjacency[first][1].copy()
-            for j in rest:
+            if b & (b - 1) == 0:
+                j = b.bit_length() - 1
+                terms[j].append(w)
                 for i, p in adjacency[j][1].items():
-                    if p > reach.get(i, 0.0):
-                        reach[i] = p
-            for j in (first, *rest):
-                reach[j] = 1.0
-            for i, p in reach.items():
-                terms[i].append(p * w)
+                    terms[i].append(p * w)
+                continue
+            support |= b
+            position = 1 << len(weights)
+            weights.append(w)
+            while b:
+                low = b & -b
+                holds[low.bit_length() - 1] |= position
+                b ^= low
+        every = (1 << len(weights)) - 1
+        for held, (neighbours, row), out in zip(holds, adjacency, terms):
+            remaining = every ^ held
+            while held:  # the sets holding i, at degree 1
+                low = held & -held
+                out.append(weights[low.bit_length() - 1])
+                held ^= low
+            if remaining and neighbours & support:
+                for j, p in row.items():  # strongest first
+                    if reached := remaining & holds[j]:
+                        remaining ^= reached
+                        while reached:
+                            low = reached & -reached
+                            out.append(p * weights[low.bit_length() - 1])
+                            reached ^= low
+                        if not remaining:
+                            break
         return tuple(map(math.fsum, terms))
 
 

@@ -62,8 +62,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     labels, each passing :func:`label_error`, the rules :class:`Frame`
     holds. ``unknown`` may hold only ``cardinality``, an integer from 2 to
     ``sys.float_info.max`` (:func:`is_cardinality`), and
-    ``non_exclusivity``. A pair entry must be two labels, and then passes
-    :func:`pair_error`, the rules :func:`build_frame` holds. An
+    ``non_exclusivity``. A pair entry passes :func:`pair_error`, the
+    rules :func:`build_frame` holds, its pair two labels first. An
     ``unknown.non_exclusivity`` item ``{label: p}`` is checked as the pair
     entry ``([label, "X"], p)``, and its key must be a frame label.
     Duplicate mass entries for the same set are rejected outright to
@@ -130,12 +130,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
             ("non_exclusivity", _entries(errors, doc.get("non_exclusivity", []),
                                          "non_exclusivity", "pair", "degree"))):
         for key, pair, degree in entries:
-            if not (type(pair) is list and len(pair) == 2
-                    and type(a := pair[0]) is str and type(b := pair[1]) is str):
-                error = '"pair" must be two labels'
-            elif not (error := pair_error(index, degrees, a, b, degree)):
-                continue
-            errors.append(f"{name}[{key!r}]: {error}")
+            if error := pair_error(index, degrees, pair, degree):
+                errors.append(f"{name}[{key!r}]: {error}")
 
     raw_masses = doc.get("masses")
     if not raw_masses:

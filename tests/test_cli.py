@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +293,63 @@ def kernel_mutant(keep, x_degrees):
                 terms[i].append(p * w)
         return tuple(map(math.fsum, terms))
     return singleton_pl
+
+
+def wide_dnumber(seed, n, focal_count, density, x_share=0.0, total=1.0):
+    """A fixed wide D number: each pair, X pairs too, stored with probability
+    ``density`` at a random degree (1 in 10 exactly 1); focal widths 1..n/4,
+    a share ``x_share`` of the focal sets holding X; masses totalling ``total``."""
+    rng = random.Random(seed)
+    frame = Frame(tuple(f"e{i}" for i in range(n)), None, {
+        (i, j): 1.0 if rng.random() < 0.1 else rng.random() or 1.0
+        for i in range(n + 1) for j in range(i + 1, n + 1) if rng.random() < density})
+    focal = set()
+    while len(focal) < focal_count:
+        mask = sum(1 << i for i in rng.sample(range(n), rng.randint(1, max(1, n // 4))))
+        focal.add(mask | (frame.x_mask if rng.random() < x_share else 0))
+    weights = [rng.random() + 1e-3 for _ in focal]
+    scale = total / sum(weights)
+    return DNumber(frame, {m: w * scale for m, w in zip(sorted(focal), weights)})
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n, focal_count, density, x_share, total", [
+        (64, 128, 1.0, 0.0, 1.0),  # dense
+        (64, 128, 0.05, 0.0, 1.0),  # sparse
+        (256, 48, 1.0, 0.0, 1.0),
+        (64, 128, 1.0, 0.3, 1.0),  # focal sets holding X
+        (64, 128, 0.3, 0.3, 0.6),  # incomplete, then completed
+        (6, 12, 0.5, 0.2, 0.8),
+    ])
+    def test_sweep_bit_identical_to_per_set_pass(self, n, focal_count, density,
+                                                 x_share, total):
+        d = wide_dnumber(n * focal_count, n, focal_count, density, x_share, total)
+        for d in (d, dn.complete(d)):
+            assert d.singleton_pl == kernel_mutant(max, True)(d)
+
+    def test_int_mass(self):
+        f = dn.build_frame("ab", 2, [(("a", "b"), 0.5), (("b", "X"), 1)])
+        d = DNumber(f, {1: 1})
+        assert d.singleton_pl == kernel_mutant(max, True)(d) == (1.0, 0.5, 0.0)
+        assert all(type(p) is float for p in d.singleton_pl)
+
+    @pytest.mark.parametrize("order, code", [
+        (lambda items: items, 0),  # the patch itself
+        (reversed, 2),
+    ])
+    def test_walking_rows_weakest_first_fails_oracle(self, order, code, capsys,
+                                                     monkeypatch):
+        # the kernel stops at the first neighbour reaching a focal set, so
+        # rows listed weakest-first give it the smallest degree instead
+        post_init = Frame.__post_init__
+
+        def reordered(self):
+            post_init(self)
+            object.__setattr__(self, "adjacency", tuple(
+                (mask, dict(order(list(row.items())))) for mask, row in self.adjacency))
+        monkeypatch.setattr(Frame, "__post_init__", reordered)
+        assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
+        assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
 
 
 class TestCheck:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -84,6 +85,22 @@ class TestBuildFrame:
         with pytest.raises(ValueError, match=r"^pair names 'a' twice$"):
             dn.build_frame("ab", 2, [(("a", "a"), 0.3)])
 
+    @pytest.mark.parametrize("entry", [
+        ("ab", 0.5),  # a str is not a pair of labels
+        ((["a"], "b"), 0.5),  # an unhashable label
+        (("a", "b"),),  # no degree
+        ("a", "b", 0.5),  # not a (pair, degree) entry
+    ])
+    def test_pair_must_be_two_labels(self, entry):
+        with pytest.raises(ValueError, match=r'^"pair" must be two labels$'):
+            dn.build_frame(["a", "b"], 2, [entry])
+
+    def test_label_not_a_str_checked_before_pairs(self):
+        with pytest.raises(ValueError, match=r"^label \['a'\] is not a str$"):
+            dn.build_frame([["a"]], 2)
+        with pytest.raises(ValueError, match=r"^label \['a'\] is not a str$"):
+            dn.build_frame(["b", ["a"]], 2, [(("b", "X"), 0.5)])
+
     def test_subset_of_unknown_label(self):
         with pytest.raises(ValueError, match="unknown label 'z'"):
             exclusive("ab").subset(["z"])
@@ -148,6 +165,69 @@ class TestFrameInvariants:
         f = dn.Frame(["a", "b"], None, {(0, 1): 0.5})
         assert f == dn.Frame(("a", "b"), None, {(0, 1): 0.5})
         assert f.elements == ("a", "b")
+
+
+def assert_rows_strongest_first(f):
+    """Every adjacency row lists its neighbours by non-increasing degree,
+    ties in the order of ``f.degrees``, and holds exactly the stored pairs."""
+    order = list(f.degrees)
+    for i, (mask, row) in enumerate(f.adjacency):
+        entries = [((i, j) if i < j else (j, i), p) for j, p in row.items()]
+        for (a, p), (b, q) in itertools.pairwise(entries):
+            assert p > q or (p == q and order.index(a) < order.index(b))
+        assert dict(row) == {j: f.lookup(i, j) for j in range(f.size + 1)
+                             if j != i and f.lookup(i, j)}
+        assert mask == sum(1 << j for j in row)
+
+
+class TestAdjacencyOrder:
+    def test_rows_strongest_first(self):
+        f = dn.Frame(("a", "b", "c", "d"), None, {
+            (0, 1): 0.2, (0, 2): 0.9, (0, 3): 0.5, (1, 2): 0.7, (2, 3): 0.1})
+        assert_rows_strongest_first(f)
+        assert [list(row) for _, row in f.adjacency] == [
+            [2, 3, 1], [2, 0], [0, 1, 3], [0, 2], []]
+
+    def test_ties_keep_table_order(self):
+        f = dn.Frame(("a", "b", "c", "d"), None, {
+            (2, 3): 0.5, (0, 3): 0.5, (1, 3): 0.5, (0, 1): 1.0, (0, 2): 1.0})
+        assert_rows_strongest_first(f)
+        assert list(f.adjacency[3][1]) == [2, 0, 1]
+        assert list(f.adjacency[0][1]) == [1, 2, 3]
+
+    def test_degree_one_and_x_pairs(self):
+        f = dn.Frame(("a", "b", "c"), None, {
+            (0, 1): 0.3, (0, 3): 1.0, (1, 3): 0.6, (2, 3): 1, (1, 2): 1.0})
+        assert_rows_strongest_first(f)
+        assert list(f.adjacency[f.x_index][1]) == [0, 2, 1]
+        assert list(f.adjacency[1][1]) == [2, 3, 0]
+
+    def test_float_subclass_degrees(self):
+        class Degree(float):
+            pass
+
+        f = dn.Frame(("a", "b", "c"), None, {
+            (0, 1): Degree(0.25), (0, 2): 0.75, (1, 2): Degree(0.5)})
+        assert_rows_strongest_first(f)
+        assert list(f.adjacency[0][1]) == [2, 1]
+        assert type(f.adjacency[0][1][1]) is Degree
+
+    def test_replace_reorders(self):
+        f = dn.Frame(("a", "b", "c"), None, {(0, 1): 0.25, (0, 2): 0.75})
+        g = dataclasses.replace(f, degrees={(0, 1): 0.75, (0, 2): 0.25})
+        assert_rows_strongest_first(g)
+        assert list(f.adjacency[0][1]) == [2, 1] and list(g.adjacency[0][1]) == [1, 2]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32))
+    def test_random_tables(self, n, seed):
+        rng = random.Random(seed)
+        levels = [0.25, 0.5, 1.0, 1, rng.random() or 1.0]  # ties on purpose
+        pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+        rng.shuffle(pairs)
+        f = dn.Frame(tuple(f"e{i}" for i in range(n)), None,
+                     {key: rng.choice(levels) for key in pairs if rng.random() < 0.6})
+        assert_rows_strongest_first(f)
         with pytest.raises(AttributeError):
             f.elements.append("c")
 
