@@ -16,11 +16,7 @@ from pathlib import Path
 
 from .core import belief_interval, complete
 from .document import DocumentError, parse_document, serialize_document
-from .measures import (
-    UnknownModel,
-    interval_distance_to_unit,
-    total_uncertainty,
-)
+from .measures import UnknownModel, singleton_terms, total_uncertainty
 from .oracle import (
     ENUMERATION_CAP,
     CheckReport,
@@ -101,11 +97,8 @@ def cmd_measure(args) -> int:
     tu = total_uncertainty(d, model)
 
     # (name, bel, pl, term): the singletons, then any subsets with no term
-    rows = []
-    for i, label in enumerate(frame.elements):
-        interval = belief_interval(d, 1 << i)
-        rows.append((label, interval.lower, interval.upper,
-                     1.0 - interval_distance_to_unit(interval)))
+    rows = [(label, interval.lower, interval.upper, term)
+            for label, (interval, term) in zip(frame.elements, singleton_terms(d))]
     if args.subsets == "all":
         for a in range(1, frame.full_mask + 1):
             interval = belief_interval(d, a)

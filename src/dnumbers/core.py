@@ -136,10 +136,10 @@ class Frame:
     takes no part in equality or ``repr``. Invariant: every map lists
     its neighbours strongest-first, by non-increasing degree, ties in the
     order of ``degrees``; the rows are filled from the table sorted once.
-    :meth:`nonexclusivity` reads the maps by key, so a call on disjoint
-    sets costs one mask intersection per member of the smaller set plus
-    one read per stored pair between the sets;
-    :attr:`DNumber.singleton_pl` walks them in order.
+    :meth:`nonexclusivity`, the only reader of the bitmasks, reads the
+    maps by key, so a call on disjoint sets costs one mask intersection
+    per member of the smaller set plus one read per stored pair between
+    the sets; :attr:`DNumber.singleton_pl` walks the maps in order.
     :meth:`lookup` reads ``degrees``, which keeps it an independent route
     for the oracle. Instances are immutable, tables included.
     """
@@ -226,7 +226,7 @@ class Frame:
             return 1.0
         if a.bit_count() > b.bit_count():
             a, b = b, a
-        # iter_indices inlined twice: this is the inner loop of every Pl
+        # set bits walked inline, low to high: this is the inner loop of every Pl
         best = 0.0
         adjacency = self.adjacency
         while a:
@@ -263,14 +263,6 @@ class Frame:
         if mask & self.x_mask:
             out.append(X_LABEL)
         return tuple(out)
-
-
-def iter_indices(mask: int):
-    """Indices of the set bits of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
@@ -353,19 +345,18 @@ class DNumber:
         strongest-first, and a neighbour j with degree p reaches the sets
         holding j that no earlier step reached: p is the largest degree
         between i and a member of such a set b. The walk stops once every
-        set is reached, and is skipped when i has no neighbour in them.
+        set is reached, or at the end of the row.
         Each degree is the factor :meth:`Frame.nonexclusivity` gives for
         (b, {i}), so the products ``degree * D(b)`` are the ones
         :func:`pl` would sum, and ``fsum`` makes the totals bit-identical.
         Costs one row per one-member set, Σ_b |b| bits for the others,
-        then per index the walk up to its first full cover, plus one
-        product per reached (i, b).
+        then per index the walk to its first full cover or row end, plus
+        one product per reached (i, b).
         """
         adjacency = self.frame.adjacency
         terms: list[list[float]] = [[] for _ in adjacency]
         weights = []  # D(b) of the wider focal sets, by position
         holds = [0] * len(adjacency)  # index -> positions of the wider sets holding it
-        support = 0
         for b, w in self.masses.items():
             if b & (b - 1) == 0:
                 j = b.bit_length() - 1
@@ -373,7 +364,6 @@ class DNumber:
                 for i, p in adjacency[j][1].items():
                     terms[i].append(p * w)
                 continue
-            support |= b
             position = 1 << len(weights)
             weights.append(w)
             while b:
@@ -381,13 +371,13 @@ class DNumber:
                 holds[low.bit_length() - 1] |= position
                 b ^= low
         every = (1 << len(weights)) - 1
-        for held, (neighbours, row), out in zip(holds, adjacency, terms):
+        for held, (_, row), out in zip(holds, adjacency, terms):
             remaining = every ^ held
             while held:  # the sets holding i, at degree 1
                 low = held & -held
                 out.append(weights[low.bit_length() - 1])
                 held ^= low
-            if remaining and neighbours & support:
+            if remaining:
                 for j, p in row.items():  # strongest first
                     if reached := remaining & holds[j]:
                         remaining ^= reached
@@ -401,11 +391,13 @@ class DNumber:
 
 
 def build_dnumber(frame: Frame, entries) -> DNumber:
-    """Build a D number from (mask, mass) entries.
+    """Build a D number from (mask, mass) entries that may repeat a mask.
 
     Each mass is converted with ``float``, a negative one is rejected
     before duplicate subsets are merged (so a merge cannot hide it), and
     the merged table goes to :class:`DNumber`, which holds every other rule.
+    A table that already holds one ``float`` per mask can go to
+    :class:`DNumber` directly, as ``oracle.generate_raw``'s does.
     """
     merged: dict[int, float] = {}
     for mask, mass in entries:

@@ -41,11 +41,15 @@ def interval_distance_to_unit(interval: BeliefInterval) -> float:
     return math.sqrt(lo * lo + (hi - 1.0) * (hi - 1.0))
 
 
+def singleton_terms(d: DNumber) -> list[tuple[BeliefInterval, float]]:
+    """Each known singleton's belief interval and KU term, in frame order."""
+    intervals = [belief_interval(d, 1 << i) for i in range(d.frame.size)]
+    return [(iv, 1.0 - interval_distance_to_unit(iv)) for iv in intervals]
+
+
 def ku(d: DNumber) -> float:
-    """Known uncertainty: Σ over known singletons of 1 - distance to [0, 1]."""
-    terms = [1.0 - interval_distance_to_unit(belief_interval(d, 1 << i))
-             for i in range(d.frame.size)]
-    return math.fsum(terms)
+    """Known uncertainty: the fsum of the terms of :func:`singleton_terms`."""
+    return math.fsum(term for _, term in singleton_terms(d))
 
 
 def uu_coefficient(d: DNumber) -> float:

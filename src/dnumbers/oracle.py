@@ -25,7 +25,6 @@ from .core import (
     belief_interval,
     build_dnumber,
     complete,
-    iter_indices,
     pl,
 )
 from .document import document_dict
@@ -112,6 +111,14 @@ class CheckReport:
         self.record(violation, tol, d, **context)
 
 
+def iter_indices(mask: int):
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def trial_rng(seed: int, index: int) -> random.Random:
     """Deterministic per-trial RNG derived from (seed, trial index)."""
     return random.Random(f"{seed}:{index}")
@@ -123,7 +130,8 @@ def generate_raw(config: GeneratorConfig, rng: random.Random | None = None,
 
     The frame is built as a :class:`Frame` straight from its index pairs:
     with random degrees, each pair (i, j), i < j <= N, X included, draws
-    one degree in turn, and a draw of exactly 0 is not stored.
+    one degree in turn, and a draw of exactly 0 is not stored. The focal
+    masks are distinct draws, so they make the :class:`DNumber` as drawn.
     """
     if rng is None:
         rng = random.Random(config.seed)
@@ -143,8 +151,8 @@ def generate_raw(config: GeneratorConfig, rng: random.Random | None = None,
         completeness = rng.choice(["complete", "incomplete"])
     total = 1.0 if completeness == "complete" else max(rng.random(), 1e-6)
 
-    entries = [(m, w / scale * total) for m, w in zip(focal, weights)]
-    return frame, build_dnumber(frame, entries)
+    masses = {m: w / scale * total for m, w in zip(focal, weights)}
+    return frame, DNumber(frame, masses)
 
 
 def generate(config: GeneratorConfig, rng: random.Random | None = None) -> DNumber:
@@ -274,7 +282,7 @@ def check_set_consistency(frame: Frame) -> CheckReport:
     _check_enumerable(frame)
     report = CheckReport("set-consistency")
     for a in range(1, frame.theta_mask + 1):
-        d = complete(build_dnumber(frame, [(a, 1.0)]))
+        d = DNumber(frame, {a: 1.0})  # complete as made
         size = a.bit_count()
         # from the stored degrees: Frame.nonexclusivity is what KU is checked on
         degree_sum = math.fsum(max(frame.lookup(i, j) for j in iter_indices(a))

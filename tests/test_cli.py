@@ -12,7 +12,8 @@ import pytest
 
 import dnumbers as dn
 from dnumbers import cli, core, oracle
-from dnumbers.core import DNumber, Frame, iter_indices
+from dnumbers.core import DNumber, Frame
+from dnumbers.oracle import iter_indices
 
 
 @pytest.fixture
@@ -275,6 +276,27 @@ class TestMeasure:
         assert captured.out == ""
         assert "frame[1]" in captured.err and "masses[0]" in captured.err
 
+    def test_wide_document_agrees_with_library(self, tmp_path, capsys):
+        # incomplete, sparse, and a share of the focal sets holding X
+        d = wide_dnumber(11, 64, 128, 0.05, 0.3, 0.6)
+        assert not d.completed and any(m & d.frame.x_mask for m in d.masses)
+        path = tmp_path / "wide.json"
+        path.write_text(dn.serialize_document(d.frame, d), encoding="utf-8")
+        assert cli.main(["measure", str(path), "--output", "json-lines"]) == 0
+        *elements, summary = map(json.loads, capsys.readouterr().out.splitlines())
+        full = dn.complete(d)
+        terms = []
+        for i, row in enumerate(elements):
+            interval = dn.belief_interval(full, 1 << i)
+            term = 1.0 - dn.interval_distance_to_unit(interval)
+            assert row == {"element": f"e{i}", "bel": interval.lower,
+                           "pl": interval.upper, "term": term}
+            terms.append(term)
+        assert len(terms) == 64
+        assert summary["ku"] == math.fsum(terms) == dn.ku(full)
+        assert summary["uu_coefficient"] == dn.uu_coefficient(full)
+        assert summary["completion_mass"] == 1.0 - d.total_mass
+
 
 def kernel_mutant(keep, x_degrees):
     """The singleton Pl pass, merging its members' degrees with ``keep`` and,
@@ -320,6 +342,11 @@ class TestKernel:
         (64, 128, 1.0, 0.3, 1.0),  # focal sets holding X
         (64, 128, 0.3, 0.3, 0.6),  # incomplete, then completed
         (6, 12, 0.5, 0.2, 0.8),
+        # sparse rows: many walked indices have neighbours, none in a wider set
+        (256, 4, 0.01, 0.0, 1.0),
+        # only one-member focal sets, before and after completion adds {X}:
+        # no index is walked
+        (4, 4, 1.0, 0.0, 0.5),
     ])
     def test_sweep_bit_identical_to_per_set_pass(self, n, focal_count, density,
                                                  x_share, total):

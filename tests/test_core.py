@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 
 import dnumbers as dn
-from dnumbers.core import iter_indices, label_error
+from dnumbers.core import label_error
+from dnumbers.oracle import iter_indices
 
 from conftest import completed_dnumbers, raw_dnumbers
 
