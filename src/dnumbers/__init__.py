@@ -1,6 +1,8 @@
 """D numbers: mass assignments on frames with non-exclusive elements,
 belief intervals, and a belief-interval total uncertainty measure."""
 
+import importlib
+
 from .core import (
     MASS_TOL,
     X_LABEL,
@@ -24,8 +26,11 @@ from .measures import (
     total_uncertainty,
     uu_coefficient,
 )
-from .oracle import (CheckReport, GeneratorConfig, dst_ku_reference, generate,
-                     oracle_bel_pl)
+
+#: Exports of :mod:`.oracle`, which (with :mod:`.dst`) loads on first use,
+#: so ``validate`` and ``measure`` never import it
+_ORACLE_NAMES = ("CheckReport", "GeneratorConfig", "dst_ku_reference", "generate",
+                 "oracle_bel_pl")
 
 __all__ = [
     "MASS_TOL", "X_LABEL", "BeliefInterval", "DNumber", "Frame",
@@ -36,3 +41,12 @@ __all__ = [
     "interval_distance_to_unit", "ku", "total_uncertainty", "uu_coefficient",
     "CheckReport", "GeneratorConfig", "generate", "oracle_bel_pl",
 ]
+
+
+def __getattr__(name):
+    """The lazy ``oracle`` and ``dst`` submodules and the oracle's exports (PEP 562)."""
+    if name in ("oracle", "dst"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _ORACLE_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.oracle"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

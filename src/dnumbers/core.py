@@ -21,6 +21,9 @@ MASS_TOL = 1e-9
 #: Reserved label for the unknown element.
 X_LABEL = "X"
 
+#: Largest frame size for which exhaustive subset enumeration is allowed.
+ENUMERATION_CAP = 6
+
 
 def is_number(value) -> bool:
     """True for an ``int`` or ``float`` that is not a ``bool``."""

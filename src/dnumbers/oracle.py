@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from . import dst, measures
 from .core import (
+    ENUMERATION_CAP,
     BeliefInterval,
     DNumber,
     Frame,
@@ -28,9 +29,6 @@ from .core import (
     pl,
 )
 from .document import document_dict
-
-#: Largest frame size for which exhaustive subset enumeration is allowed.
-ENUMERATION_CAP = 6
 
 ORACLE_TOL = 1e-12
 RANGE_TOL = 1e-9
@@ -169,24 +167,32 @@ def _check_enumerable(frame: Frame) -> None:
 def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
     """Belief interval by literal definition.
 
-    Bel enumerates subsets of ``a``; Pl enumerates all focal sets and
-    applies the two-branch rule (1 on intersection, pairwise-max degree on
-    disjointness) directly from the stored singleton degrees. Both sums are
-    taken with ``math.fsum`` and not clamped, so a total just above 1
-    shows as it does in :func:`.core.belief_interval`.
+    Bel walks the 2^|A| - 1 nonempty subsets of ``a`` and sums their
+    masses. Pl walks all focal sets and applies the two-branch rule (1 on
+    intersection, pairwise-max degree on disjointness) directly from the
+    stored singleton degrees: |B| x |A| :meth:`.Frame.lookup` calls for
+    each focal set B disjoint from ``a``. Both sums are taken with
+    ``math.fsum`` and not clamped, so a total just above 1 shows as it does
+    in :func:`.core.belief_interval`. A negative mask, or one with bits
+    outside the frame, raises ``ValueError``.
     """
     _check_enumerable(d.frame)
     if not d.completed:
         raise ValueError("oracle requires a completed D number")
-    lower = math.fsum(d.masses.get(b, 0.0)
-                      for b in range(1, d.frame.full_mask + 1) if b & ~a == 0)
+    if a & ~d.frame.full_mask:  # a negative mask has bits outside too
+        raise ValueError(f"subset mask {a!r} is not inside the frame")
     if a == 0:
-        return BeliefInterval(lower, 0.0)
-    lookup = d.frame.lookup
+        return BeliefInterval(0.0, 0.0)
+    masses, subsets, b = d.masses, [], a
+    while b:  # the nonempty subsets of a, largest first
+        subsets.append(masses.get(b, 0.0))
+        b = (b - 1) & a
+    lower = math.fsum(subsets)
+    lookup, members = d.frame.lookup, list(iter_indices(a))
     upper = math.fsum(
         mass if b & a
-        else max(lookup(i, j) for i in iter_indices(b) for j in iter_indices(a)) * mass
-        for b, mass in d.masses.items())
+        else max(lookup(i, j) for i in iter_indices(b) for j in members) * mass
+        for b, mass in masses.items())
     return BeliefInterval(lower, upper)
 
 

@@ -588,6 +588,46 @@ class TestGen:
         assert cli.main(["validate", str(path)]) == 0
 
 
+# imports the CLI, runs measure and validate on argv[1], then reaches every
+# export; prints which lazy modules each step had loaded
+LAZY_IMPORTS = """
+import sys
+import dnumbers.cli
+lazy = ("dnumbers.oracle", "dnumbers.dst", "string")
+loaded = [[m for m in lazy if m in sys.modules]]
+for command in ("measure", "validate"):
+    assert dnumbers.cli.main([command, sys.argv[1]]) == 0
+    loaded.append([m for m in lazy if m in sys.modules])
+import dnumbers
+for name in dnumbers.__all__:
+    getattr(dnumbers, name)
+assert dnumbers.oracle.__name__ == "dnumbers.oracle"
+assert dnumbers.dst.__name__ == "dnumbers.dst"
+print(loaded)
+"""
+
+
+class TestImports:
+    def test_measure_and_validate_leave_the_oracle_unloaded(self, doc_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(dn.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, doc_path(GOLDEN)],
+                             capture_output=True, encoding="utf-8", env=env,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == str([[]] * 3)
+
+    def test_lazy_exports_are_the_oracle_names(self):
+        for name in ("CheckReport", "GeneratorConfig", "dst_ku_reference",
+                     "generate", "oracle_bel_pl"):
+            assert getattr(dn, name) is getattr(oracle, name)
+        from dnumbers import dst
+        assert dn.dst is dst and dn.oracle is oracle
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            dn.nonexistent  # noqa: B018
+
+
 class TestUsage:
     @pytest.mark.parametrize("unbuffered", [True, False])
     @pytest.mark.parametrize("argv", [["check", "all", "--trials", "50"], ["gen"]])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -46,6 +48,29 @@ class TestOracleBelPl:
             slow = dn.oracle_bel_pl(d, a)
             assert abs(fast.lower - slow.lower) <= oracle.ORACLE_TOL
             assert abs(fast.upper - slow.upper) <= oracle.ORACLE_TOL
+
+    @pytest.mark.parametrize("a", [-1, -2, -(1 << 3), 1 << 3, 1 << 5, 0b1011])
+    def test_mask_outside_the_frame_raises(self, a):
+        f, d = make("ab", [("a", 0.6), ("ab", 0.4)])
+        with pytest.raises(ValueError, match="not inside the frame"):
+            dn.oracle_bel_pl(d, a)
+        with pytest.raises(ValueError, match="not inside the frame"):
+            dn.belief_interval(d, a)
+
+    def test_empty_set(self):
+        f, d = make("ab", [("a", 0.6), ("ab", 0.4)])
+        iv = dn.oracle_bel_pl(d, 0)
+        assert (iv.lower, iv.upper) == (0.0, 0.0)
+
+    @settings(max_examples=80)
+    @given(completed_dnumbers(max_size=6))
+    def test_bel_equals_sum_over_every_mask_of_the_frame(self, d):
+        # reference: every mask of the frame filtered by containment in a
+        full = d.frame.full_mask
+        for a in range(full + 1):
+            reference = math.fsum(d.masses.get(b, 0.0)
+                                  for b in range(1, full + 1) if b & ~a == 0)
+            assert oracle.oracle_bel_pl(d, a).lower.hex() == reference.hex()
 
     @settings(max_examples=60)
     @given(completed_dnumbers(max_size=4))
