@@ -13,6 +13,7 @@ import re
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from types import MappingProxyType
 
 #: Tolerance for mass-sum validation.
@@ -68,31 +69,32 @@ def label_error(label: str, before) -> str | None:
     return f"label {label!r} contains '|'"
 
 
-def pair_error(index: Mapping[str, int], degrees: dict[tuple[int, int], float],
-               pair, p) -> str | None:
-    """Why the labels in ``pair`` cannot have degree ``p``, or ``None``.
+def pair_errors(index: Mapping[str, int], degrees: dict[tuple[int, int], float],
+                entries):
+    """Yield ``(key, reason)`` for each ``(key, pair, p)`` in ``entries``
+    whose labels cannot have degree ``p``, in one loop over the entries.
 
     The rules, first broken first reported: ``pair`` is a list or tuple of
     two ``str`` labels; p is an ``int`` or ``float``, not a ``bool``, in
     [0, 1]; ``index`` (each label to its index, "X" too) holds both
     labels; they differ; the pair is not in ``degrees`` with another
     degree. Else ``float(p)`` is recorded in ``degrees``, keyed (i, j),
-    i < j, zeros too. ``parse_document`` reports the reason at the entry,
-    and :func:`build_frame` raises it.
+    i < j, zeros too, so a conflict shows at the later entry.
+    ``parse_document`` reports every reason at its entry, and
+    :func:`build_frame` raises the first.
     """
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-            and isinstance(a := pair[0], str) and isinstance(b := pair[1], str)):
-        return '"pair" must be two labels'
-    if not ((type(p) is float or is_number(p)) and 0.0 <= p <= 1.0):
-        return f"degree {p!r} outside [0, 1]"
-    i, j = index.get(a), index.get(b)
-    if i is None or j is None:
-        return f"unknown label {(a if i is None else b)!r}"
-    if i == j:
-        return f"pair names {a!r} twice"
-    if degrees.setdefault((i, j) if i < j else (j, i), float(p)) != p:
-        return f"conflicting degrees for pair ({a!r}, {b!r})"
-    return None
+    for key, pair, p in entries:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and isinstance(a := pair[0], str) and isinstance(b := pair[1], str)):
+            yield key, '"pair" must be two labels'
+        elif not ((type(p) is float or is_number(p)) and 0.0 <= p <= 1.0):
+            yield key, f"degree {p!r} outside [0, 1]"
+        elif (i := index.get(a)) is None or (j := index.get(b)) is None:
+            yield key, f"unknown label {(a if i is None else b)!r}"
+        elif i == j:
+            yield key, f"pair names {a!r} twice"
+        elif degrees.setdefault((i, j) if i < j else (j, i), float(p)) != p:
+            yield key, f"conflicting degrees for pair ({a!r}, {b!r})"
 
 
 class _computed_once:
@@ -133,16 +135,15 @@ class Frame:
     and anything else (a ``bool`` too) raises ``ValueError``; subclasses of
     ``tuple`` and ``float`` pass. One pass checks the table.
 
-    ``adjacency`` is derived from ``degrees`` once, when the frame is
-    made: for each index 0..N, X included, the bitmask of its stored
-    neighbours and a read-only map from neighbour index to degree. It
-    takes no part in equality or ``repr``. Invariant: every map lists
-    its neighbours strongest-first, by non-increasing degree, ties in the
-    order of ``degrees``; the rows are filled from the table sorted once.
-    :meth:`nonexclusivity`, the only reader of the bitmasks, reads the
-    maps by key, so a call on disjoint sets costs one mask intersection
-    per member of the smaller set plus one read per stored pair between
-    the sets; :attr:`DNumber.singleton_pl` walks the maps in order.
+    ``adjacency`` is derived from ``degrees`` on first read and then kept:
+    for each index 0..N, X included, a read-only map from neighbour index
+    to degree, the row of that index. It is not a field, so it takes no
+    part in equality, ``repr`` or ``dataclasses.replace``, and
+    ``validate``, ``gen`` and serialization never build it. Invariant:
+    every row lists its neighbours strongest-first, by non-increasing
+    degree, ties in the order of ``degrees``; the rows are filled from the
+    table sorted once. :meth:`nonexclusivity` and
+    :attr:`DNumber.singleton_pl` walk the rows in that order.
     :meth:`lookup` reads ``degrees``, which keeps it an independent route
     for the oracle. Instances are immutable, tables included.
     """
@@ -150,8 +151,6 @@ class Frame:
     elements: tuple[str, ...]
     unknown_cardinality: int | None
     degrees: Mapping[tuple[int, int], float]
-    adjacency: tuple[tuple[int, Mapping[int, float]], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -179,13 +178,16 @@ class Frame:
                                  f"with 0 <= i < j <= {x}")
             if not ((type(p) is float or is_number(p)) and 0.0 < p <= 1.0):
                 raise ValueError(f"degree {p!r} for pair {key} outside (0, 1]")
-        rows: list[dict[int, float]] = [{} for _ in range(x + 1)]
-        for i, j in sorted(degrees, key=degrees.__getitem__, reverse=True):
-            rows[i][j] = rows[j][i] = degrees[i, j]
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "degrees", MappingProxyType(degrees))
-        object.__setattr__(self, "adjacency", tuple(
-            (sum(map((1).__lshift__, row)), MappingProxyType(row)) for row in rows))
+
+    @_computed_once  # read by every nonexclusivity call and the kernel
+    def adjacency(self) -> tuple[Mapping[int, float], ...]:
+        """Each index's row, 0..N, X last: neighbour -> degree, strongest-first."""
+        rows: list[dict[int, float]] = [{} for _ in range(len(self.elements) + 1)]
+        for (i, j), p in sorted(self.degrees.items(), key=itemgetter(1), reverse=True):
+            rows[i][j] = rows[j][i] = p
+        return tuple(map(MappingProxyType, rows))
 
     @property
     def size(self) -> int:
@@ -221,7 +223,10 @@ class Frame:
 
         1 whenever the subsets intersect; otherwise the maximum stored
         degree over all element pairs drawn from the two sets, 0 when no
-        pair is stored.
+        pair is stored. On disjoint sets it walks the strongest-first row
+        of each member of the smaller set, and stops at the first
+        neighbour in the other set or at a degree no larger than the best
+        so far.
         """
         if a == 0 or b == 0:
             raise ValueError("non-exclusivity is undefined for the empty set")
@@ -234,14 +239,12 @@ class Frame:
         adjacency = self.adjacency
         while a:
             low = a & -a
-            neighbours, row = adjacency[low.bit_length() - 1]
-            hits = b & neighbours
-            while hits:
-                bit = hits & -hits
-                p = row[bit.bit_length() - 1]
-                if p > best:
+            for j, p in adjacency[low.bit_length() - 1].items():
+                if p <= best:
+                    break
+                if b >> j & 1:
                     best = p
-                hits ^= bit
+                    break
             a ^= low
         return best
 
@@ -279,21 +282,20 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
     The labels and the cardinality are checked first, then ``degrees``, an
     iterable of ((label_a, label_b), p) entries; labels may include the
     reserved "X". An entry that is not a (pair, p) tuple or list, or a
-    pair that breaks a :func:`pair_error` rule, raises the reason: p is
-    not converted, so "0.3" and ``True`` are rejected, and so is a pair
-    naming one label twice. The symmetric closure is taken, and zeros are
-    not stored.
+    pair that breaks a :func:`pair_errors` rule, raises the first reason:
+    p is not converted, so "0.3" and ``True`` are rejected, and so is a
+    pair naming one label twice. The symmetric closure is taken, and
+    zeros are not stored.
     """
     card = None if unknown_cardinality == "unknown" else unknown_cardinality
     frame = Frame(labels, card, {})
     index = {label: i for i, label in enumerate(frame.elements)}
     index[X_LABEL] = frame.x_index
     given: dict[tuple[int, int], float] = {}
-    for entry in degrees:
-        is_pair = isinstance(entry, (tuple, list)) and len(entry) == 2
-        pair, p = entry if is_pair else (None, None)
-        if reason := pair_error(index, given, pair, p):
-            raise ValueError(reason)
+    entries = ((None, *entry) if isinstance(entry, (tuple, list)) and len(entry) == 2
+               else (None, None, None) for entry in degrees)
+    for _, reason in pair_errors(index, given, entries):
+        raise ValueError(reason)
     return replace(frame, degrees={key: p for key, p in given.items() if p})
 
 
@@ -342,13 +344,13 @@ class DNumber:
 
         A one-member focal set {j} reaches j with degree 1 and each
         neighbour i of j with p(i, j), read off j's ``Frame.adjacency``
-        row. For the wider sets, one pass over their bits finds the sets
-        holding each index j (positions in ``masses`` order). The sets
-        holding i reach it with degree 1. Then i's row is walked
+        row. Each wider set b is scanned once, bit by bit: each index j it
+        holds gets the term D(b), at degree 1, and records b's position
+        in ``masses`` order. Then each index i's row is walked
         strongest-first, and a neighbour j with degree p reaches the sets
-        holding j that no earlier step reached: p is the largest degree
-        between i and a member of such a set b. The walk stops once every
-        set is reached, or at the end of the row.
+        holding j, but not i, that no earlier step reached: p is the
+        largest degree between i and a member of such a set b. The walk
+        stops once every set is reached, or at the end of the row.
         Each degree is the factor :meth:`Frame.nonexclusivity` gives for
         (b, {i}), so the products ``degree * D(b)`` are the ones
         :func:`pl` would sum, and ``fsum`` makes the totals bit-identical.
@@ -364,30 +366,26 @@ class DNumber:
             if b & (b - 1) == 0:
                 j = b.bit_length() - 1
                 terms[j].append(w)
-                for i, p in adjacency[j][1].items():
+                for i, p in adjacency[j].items():
                     terms[i].append(p * w)
                 continue
             position = 1 << len(weights)
             weights.append(w)
-            while b:
-                low = b & -b
-                holds[low.bit_length() - 1] |= position
-                b ^= low
+            while b:  # high bit first: fewer int operations than b & -b
+                j = b.bit_length() - 1
+                holds[j] |= position
+                terms[j].append(w)  # degree 1
+                b ^= 1 << j
         every = (1 << len(weights)) - 1
-        for held, (_, row), out in zip(holds, adjacency, terms):
-            remaining = every ^ held
-            while held:  # the sets holding i, at degree 1
-                low = held & -held
-                out.append(weights[low.bit_length() - 1])
-                held ^= low
-            if remaining:
+        for held, row, out in zip(holds, adjacency, terms):
+            if remaining := every ^ held:
                 for j, p in row.items():  # strongest first
                     if reached := remaining & holds[j]:
                         remaining ^= reached
                         while reached:
-                            low = reached & -reached
-                            out.append(p * weights[low.bit_length() - 1])
-                            reached ^= low
+                            k = reached.bit_length() - 1
+                            out.append(p * weights[k])
+                            reached ^= 1 << k
                         if not remaining:
                             break
         return tuple(map(math.fsum, terms))

@@ -20,7 +20,7 @@ label-to-degree mapping; pairs naming "X" in the top-level list are also
 accepted on input.
 
 This module checks the JSON shape; ``core.label_error`` and
-``core.pair_error`` hold the label and degree rules. Every frame serializes,
+``core.pair_errors`` hold the label and degree rules. Every frame serializes,
 and canonical documents round-trip bit-exactly through serialize ∘ parse.
 """
 
@@ -38,7 +38,7 @@ from .core import (
     build_dnumber,
     is_cardinality,
     label_error,
-    pair_error,
+    pair_errors,
 )
 
 
@@ -62,8 +62,9 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     labels, each passing :func:`label_error`, the rules :class:`Frame`
     holds. ``unknown`` may hold only ``cardinality``, an integer from 2 to
     ``sys.float_info.max`` (:func:`is_cardinality`), and
-    ``non_exclusivity``. A pair entry passes :func:`pair_error`, the
-    rules :func:`build_frame` holds, its pair two labels first. An
+    ``non_exclusivity``. The pair entries go through :func:`pair_errors`
+    in one loop per list, the rules :func:`build_frame` holds, each
+    pair two labels first, and each reason is reported at its entry. An
     ``unknown.non_exclusivity`` item ``{label: p}`` is checked as the pair
     entry ``([label, "X"], p)``, and its key must be a frame label.
     Duplicate mass entries for the same set are rejected outright to
@@ -75,9 +76,10 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     over the set's labels. They test exact types (``type(x) is str``),
     which is exact for ``json.loads`` output, and format an entry's
     location only when the entry fails. A valid document then becomes a
-    :class:`Frame` made straight from the nonzero degrees and a
-    :class:`DNumber` made by :func:`build_dnumber` from the masks;
-    :func:`build_frame` is not on this path.
+    :class:`Frame` made straight from the nonzero degrees, whose
+    adjacency rows are left for the first read, and a :class:`DNumber`
+    made by :func:`build_dnumber` from the masks; :func:`build_frame` is
+    not on this path.
     """
     if isinstance(text, bytes):
         try:
@@ -129,9 +131,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
                                          if label != X_LABEL)),
             ("non_exclusivity", _entries(errors, doc.get("non_exclusivity", []),
                                          "non_exclusivity", "pair", "degree"))):
-        for key, pair, degree in entries:
-            if error := pair_error(index, degrees, pair, degree):
-                errors.append(f"{name}[{key!r}]: {error}")
+        for key, error in pair_errors(index, degrees, entries):
+            errors.append(f"{name}[{key!r}]: {error}")
 
     raw_masses = doc.get("masses")
     if not raw_masses:

@@ -297,6 +297,31 @@ class TestMeasure:
         assert summary["uu_coefficient"] == dn.uu_coefficient(full)
         assert summary["completion_mass"] == 1.0 - d.total_mass
 
+    def test_singleton_heavy_sparse_document(self, tmp_path, capsys):
+        # N=1000, 2% of the pairs (X pairs too), incomplete: one 500-element
+        # focal set and 200 one-member sets, read off their members' rows
+        n, rng = 1000, random.Random(1000)
+        frame = Frame(tuple(f"e{i}" for i in range(n)), None, {
+            (i, j): rng.random() or 1.0
+            for i in range(n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.02})
+        focal = [sum(1 << i for i in rng.sample(range(n), 500)),
+                 *(1 << i for i in rng.sample(range(n), 200))]
+        weights = [rng.random() + 1e-3 for _ in focal]
+        d = DNumber(frame, {m: w * 0.7 / sum(weights) for m, w in zip(focal, weights)})
+        full = dn.complete(d)  # adds the one-member set {X}
+        assert full.singleton_pl == tuple(
+            math.fsum(frame.nonexclusivity(m, 1 << i) * v for m, v in full.masses.items())
+            for i in range(n + 1))
+        path = tmp_path / "sparse.json"
+        path.write_text(dn.serialize_document(frame, d), encoding="utf-8")
+        assert cli.main(["measure", str(path), "--output", "json-lines"]) == 0
+        *elements, summary = map(json.loads, capsys.readouterr().out.splitlines())
+        assert [(row["bel"], row["pl"]) for row in elements] == [
+            (dn.bel(full, 1 << i), full.singleton_pl[i]) for i in range(n)]
+        assert summary["ku"] == dn.ku(full)
+        assert summary["uu_coefficient"] == full.singleton_pl[n]
+        assert summary["completion_mass"] == 1.0 - d.total_mass
+
 
 def kernel_mutant(keep, x_degrees):
     """The singleton Pl pass, merging its members' degrees with ``keep`` and,
@@ -307,7 +332,7 @@ def kernel_mutant(keep, x_degrees):
         for b, w in d.masses.items():
             reach = {}
             for j in iter_indices(b):
-                for i, p in adjacency[j][1].items():
+                for i, p in adjacency[j].items():
                     if x_degrees or i != x:
                         reach[i] = keep(p, reach.get(i, p))
             reach.update(dict.fromkeys(iter_indices(b), 1.0))
@@ -368,13 +393,9 @@ class TestKernel:
                                                      monkeypatch):
         # the kernel stops at the first neighbour reaching a focal set, so
         # rows listed weakest-first give it the smallest degree instead
-        post_init = Frame.__post_init__
-
-        def reordered(self):
-            post_init(self)
-            object.__setattr__(self, "adjacency", tuple(
-                (mask, dict(order(list(row.items())))) for mask, row in self.adjacency))
-        monkeypatch.setattr(Frame, "__post_init__", reordered)
+        rows = Frame.adjacency.func
+        monkeypatch.setattr(Frame, "adjacency", property(lambda self: tuple(
+            dict(order(list(row.items()))) for row in rows(self))))
         assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
         assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
 
@@ -412,16 +433,13 @@ class TestCheck:
     def test_mutated_adjacency_fails_oracle(self, capsys, monkeypatch):
         # drop every pair with X from the adjacency but not from ``degrees``,
         # which the oracle reads through ``lookup``
-        post_init = Frame.__post_init__
+        rows = Frame.adjacency.func
 
         def without_x(self):
-            post_init(self)
             x = self.x_index
-            object.__setattr__(self, "adjacency", tuple(
-                (0, {}) if i == x else
-                (mask & ~self.x_mask, {j: p for j, p in row.items() if j != x})
-                for i, (mask, row) in enumerate(self.adjacency)))
-        monkeypatch.setattr(Frame, "__post_init__", without_x)
+            return tuple({} if i == x else {j: p for j, p in row.items() if j != x}
+                         for i, row in enumerate(rows(self)))
+        monkeypatch.setattr(Frame, "adjacency", property(without_x))
         assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == 2
         assert "FAIL oracle" in capsys.readouterr().out
 

@@ -5,12 +5,14 @@ import math
 import random
 import sys
 import unicodedata
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import dnumbers as dn
+from dnumbers import oracle
 from dnumbers.core import label_error
 from dnumbers.oracle import iter_indices
 
@@ -148,7 +150,7 @@ class TestFrameInvariants:
 
         f = dn.Frame(("a", "b"), None, {(0, 1): Degree(0.5)})
         assert type(f.lookup(0, 1)) is Degree
-        assert f.adjacency[0][1][1] == 0.5 and f.nonexclusivity(1, 2) == 0.5
+        assert f.adjacency[0][1] == 0.5 and f.nonexclusivity(1, 2) == 0.5
         # bool is an int subclass, and no number
         with pytest.raises(ValueError, match=r"degree True for pair \(0, 1\) outside"):
             dn.Frame(("a", "b"), None, {(0, 1): True})
@@ -158,7 +160,7 @@ class TestFrameInvariants:
         f = dn.Frame(("a", "b"), None, {Pair(0, 1): 0.5})
         assert f == dn.Frame(("a", "b"), None, {(0, 1): 0.5})
         assert type(next(iter(f.degrees))) is Pair
-        assert f.adjacency == ((2, {1: 0.5}), (1, {0: 0.5}), (0, {}))
+        assert f.adjacency == ({1: 0.5}, {0: 0.5}, {})
         with pytest.raises(ValueError, match=r"key Pair\(i=1, j=0\) is not a pair"):
             dn.Frame(("a", "b"), None, {Pair(1, 0): 0.5})
 
@@ -174,13 +176,13 @@ def assert_rows_strongest_first(f):
     """Every adjacency row lists its neighbours by non-increasing degree,
     ties in the order of ``f.degrees``, and holds exactly the stored pairs."""
     order = list(f.degrees)
-    for i, (mask, row) in enumerate(f.adjacency):
+    assert len(f.adjacency) == f.size + 1
+    for i, row in enumerate(f.adjacency):
         entries = [((i, j) if i < j else (j, i), p) for j, p in row.items()]
         for (a, p), (b, q) in itertools.pairwise(entries):
             assert p > q or (p == q and order.index(a) < order.index(b))
         assert dict(row) == {j: f.lookup(i, j) for j in range(f.size + 1)
                              if j != i and f.lookup(i, j)}
-        assert mask == sum(1 << j for j in row)
 
 
 class TestAdjacencyOrder:
@@ -188,22 +190,22 @@ class TestAdjacencyOrder:
         f = dn.Frame(("a", "b", "c", "d"), None, {
             (0, 1): 0.2, (0, 2): 0.9, (0, 3): 0.5, (1, 2): 0.7, (2, 3): 0.1})
         assert_rows_strongest_first(f)
-        assert [list(row) for _, row in f.adjacency] == [
+        assert [list(row) for row in f.adjacency] == [
             [2, 3, 1], [2, 0], [0, 1, 3], [0, 2], []]
 
     def test_ties_keep_table_order(self):
         f = dn.Frame(("a", "b", "c", "d"), None, {
             (2, 3): 0.5, (0, 3): 0.5, (1, 3): 0.5, (0, 1): 1.0, (0, 2): 1.0})
         assert_rows_strongest_first(f)
-        assert list(f.adjacency[3][1]) == [2, 0, 1]
-        assert list(f.adjacency[0][1]) == [1, 2, 3]
+        assert list(f.adjacency[3]) == [2, 0, 1]
+        assert list(f.adjacency[0]) == [1, 2, 3]
 
     def test_degree_one_and_x_pairs(self):
         f = dn.Frame(("a", "b", "c"), None, {
             (0, 1): 0.3, (0, 3): 1.0, (1, 3): 0.6, (2, 3): 1, (1, 2): 1.0})
         assert_rows_strongest_first(f)
-        assert list(f.adjacency[f.x_index][1]) == [0, 2, 1]
-        assert list(f.adjacency[1][1]) == [2, 3, 0]
+        assert list(f.adjacency[f.x_index]) == [0, 2, 1]
+        assert list(f.adjacency[1]) == [2, 3, 0]
 
     def test_float_subclass_degrees(self):
         class Degree(float):
@@ -212,14 +214,14 @@ class TestAdjacencyOrder:
         f = dn.Frame(("a", "b", "c"), None, {
             (0, 1): Degree(0.25), (0, 2): 0.75, (1, 2): Degree(0.5)})
         assert_rows_strongest_first(f)
-        assert list(f.adjacency[0][1]) == [2, 1]
-        assert type(f.adjacency[0][1][1]) is Degree
+        assert list(f.adjacency[0]) == [2, 1]
+        assert type(f.adjacency[0][1]) is Degree
 
     def test_replace_reorders(self):
         f = dn.Frame(("a", "b", "c"), None, {(0, 1): 0.25, (0, 2): 0.75})
         g = dataclasses.replace(f, degrees={(0, 1): 0.75, (0, 2): 0.25})
         assert_rows_strongest_first(g)
-        assert list(f.adjacency[0][1]) == [2, 1] and list(g.adjacency[0][1]) == [1, 2]
+        assert list(f.adjacency[0]) == [2, 1] and list(g.adjacency[0]) == [1, 2]
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 2 ** 32))
@@ -313,6 +315,32 @@ class TestNonexclusivity:
             b &= ~a
         literal = max(f.lookup(i, j) for i in iter_indices(a) for j in iter_indices(b))
         assert f.nonexclusivity(a, b) == f.nonexclusivity(b, a) == literal
+
+    @pytest.mark.parametrize("merge", [
+        None,  # return at the first member with a neighbour in the other set
+        lambda best, p: p,  # each member's first hit replaces the best so far
+    ])
+    def test_broken_row_walks_fail(self, merge, monkeypatch):
+        def walk(self, a, b):
+            if a & b:
+                return 1.0
+            if a.bit_count() > b.bit_count():
+                a, b = b, a
+            best = 0.0
+            for i in iter_indices(a):
+                hit = next((p for j, p in self.adjacency[i].items() if b >> j & 1), None)
+                if hit is not None:
+                    if merge is None:
+                        return hit
+                    best = merge(best, hit)
+            return best
+
+        monkeypatch.setattr(dn.Frame, "nonexclusivity", walk)
+        # a fresh thread: Hypothesis remembers, per thread, which instance
+        # ran a test method, and fails a second one as a differing executor
+        with ThreadPoolExecutor(1) as pool:
+            with pytest.raises(AssertionError):
+                pool.submit(self.test_equals_max_over_stored_pairs).result()
 
 
 class TestBuildDNumber:
@@ -415,11 +443,11 @@ class TestReadOnlyTables:
     def test_adjacency_read_only(self):
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
         with pytest.raises(TypeError):
-            f.adjacency[0][1][1] = 1.0
+            f.adjacency[0][1] = 1.0
         with pytest.raises(TypeError):
-            f.adjacency[0][1][f.x_index] = 1.0
+            f.adjacency[0][f.x_index] = 1.0
         with pytest.raises(TypeError):
-            f.adjacency[0] = (f.x_mask, {f.x_index: 1.0})
+            f.adjacency[0] = {f.x_index: 1.0}
         assert f.nonexclusivity(f.subset("a"), f.subset("b")) == 0.3
         assert f.nonexclusivity(f.subset("a"), f.x_mask) == 0.0
 
@@ -427,6 +455,30 @@ class TestReadOnlyTables:
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
         assert f == dn.Frame(("a", "b"), 2, {(0, 1): 0.3})
         assert "adjacency" not in repr(f)
+
+    def test_adjacency_built_on_first_read(self):
+        # validate, gen and serialization never read the rows
+        frame, d = oracle.generate_raw(oracle.GeneratorConfig(frame_size=5, seed=3))
+        text = dn.serialize_document(frame, d)
+        parsed, _ = dn.parse_document(text)
+        assert "adjacency" not in vars(frame) and "adjacency" not in vars(parsed)
+        shown = repr(parsed)
+        rows = parsed.adjacency
+        assert parsed.adjacency is rows and "adjacency" in vars(parsed)
+        assert rows == dn.Frame(parsed.elements, parsed.unknown_cardinality,
+                                parsed.degrees).adjacency
+        assert parsed == frame and repr(parsed) == shown
+        assert "adjacency" not in {field.name for field in dataclasses.fields(parsed)}
+        other = dataclasses.replace(parsed, degrees={(0, 1): 0.5})
+        assert "adjacency" not in vars(other)
+        assert other.adjacency == ({1: 0.5}, {0: 0.5}, {}, {}, {}, {})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parsed.adjacency = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del parsed.adjacency
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del frame.adjacency
+        assert parsed.adjacency is rows
 
     def test_masses_read_only(self):
         f = exclusive("ab")

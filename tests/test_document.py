@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import dnumbers as dn
-from dnumbers import oracle
+from dnumbers import core, document, oracle
 from dnumbers.document import DocumentError
 
 from conftest import raw_dnumbers
@@ -349,6 +350,16 @@ def test_every_fault_reported_in_order(encode):
         "masses[13]: duplicate entry for set ['X', 'c']",
         "total mass 1.25 exceeds 1",
     ]
+
+
+def test_pair_rules_stopping_at_first_fault_fail(monkeypatch):
+    # build_frame raises the first reason; the document must get them all
+    def first_only(index, degrees, entries):
+        yield from itertools.islice(core.pair_errors(index, degrees, entries), 1)
+
+    monkeypatch.setattr(document, "pair_errors", first_only)
+    with pytest.raises(AssertionError):
+        test_every_fault_reported_in_order(str)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
