@@ -176,8 +176,8 @@ def cmd_gen(args) -> int:
                                     completeness=args.completeness,
                                     exclusivity=args.exclusivity,
                                     seed=args.seed)
-    frame, d = oracle.generate_raw(config)
-    text = serialize_document(frame, d)
+    _, d = oracle.generate_raw(config)
+    text = serialize_document(d)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -97,6 +97,24 @@ def pair_errors(index: Mapping[str, int], degrees: dict[tuple[int, int], float],
             yield key, f"conflicting degrees for pair ({a!r}, {b!r})"
 
 
+def mass_error(mask: int, mass) -> str | None:
+    """Why ``mass`` cannot be D of the subset ``mask``, or ``None``.
+
+    The rules on one mass, first broken first reported: (1) ``mask`` is
+    not 0, as D(∅) = 0; (2) ``mass`` is an ``int`` or ``float``, not a
+    ``bool``, from 0 to 1 + :data:`MASS_TOL`. Nothing is converted first,
+    so ``"0.5"``, ``True``, NaN and an ``int`` beyond float range are
+    rejected. :class:`DNumber` and :func:`build_dnumber` raise the reason,
+    ``parse_document`` reports it as ``masses[k]``, and each checks the
+    total itself.
+    """
+    if mask == 0:
+        return "mass on empty set: D(∅) must be 0"
+    if (type(mass) is float or is_number(mass)) and 0.0 <= mass <= 1.0 + MASS_TOL:
+        return None
+    return f"mass must be a nonnegative number no greater than 1, got {mass!r}"
+
+
 class _computed_once:
     """A method run on first read, its value then stored as the attribute.
 
@@ -303,9 +321,10 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
 class DNumber:
     """A mass assignment over nonempty subsets of the frame.
 
-    ``masses`` maps nonzero ``int`` masks inside the frame to finite,
-    nonnegative masses totalling at most 1 + :data:`MASS_TOL`; anything
-    else raises ``ValueError``. It is kept as a read-only copy without zeros,
+    ``masses`` maps ``int`` masks inside the frame to masses, each entry
+    passing :func:`mass_error` (checked after the mask is found inside the
+    frame) and all totalling at most 1 + :data:`MASS_TOL`; anything else
+    raises ``ValueError``. It is kept as a read-only copy without zeros,
     in ascending-mask order, from which ``total_mass`` (its fsum) and
     ``completed`` are derived. A D number is complete when its total is
     within ``MASS_TOL`` of 1, on either side, so :func:`complete` only ever
@@ -326,10 +345,8 @@ class DNumber:
         for mask, mass in self.masses.items():
             if type(mask) is not int or mask & ~full:
                 raise ValueError(f"subset mask {mask!r} is not an int inside the frame")
-            if mask == 0:
-                raise ValueError("mass on the empty set: D(∅) must be 0")
-            if not (is_number(mass) and 0.0 <= mass < math.inf):
-                raise ValueError(f"mass {mass!r}: not a number, negative or not finite")
+            if reason := mass_error(mask, mass):
+                raise ValueError(reason)
         masses = {m: v for m, v in sorted(self.masses.items()) if v > 0.0}
         total = math.fsum(masses.values())
         if total > 1.0 + MASS_TOL:
@@ -394,18 +411,19 @@ class DNumber:
 def build_dnumber(frame: Frame, entries) -> DNumber:
     """Build a D number from (mask, mass) entries that may repeat a mask.
 
-    Each mass is converted with ``float``, a negative one is rejected
-    before duplicate subsets are merged (so a merge cannot hide it), and
-    the merged table goes to :class:`DNumber`, which holds every other rule.
-    A table that already holds one ``float`` per mask can go to
-    :class:`DNumber` directly, as ``oracle.generate_raw``'s does.
+    An entry that breaks a :func:`mass_error` rule raises its reason
+    before duplicate subsets are merged, so a merge cannot hide it. Only
+    numbers pass, so only numbers are converted with ``float``: ``True``,
+    ``"0.5"`` and ``10**400`` are rejected. The merged table goes to
+    :class:`DNumber`, which holds every other rule. A table that already
+    holds one ``float`` per mask can go to :class:`DNumber` directly, as
+    ``oracle.generate_raw``'s does.
     """
     merged: dict[int, float] = {}
     for mask, mass in entries:
-        mass = float(mass)
-        if mass < 0.0:
-            raise ValueError(f"negative mass {mass}")
-        merged[mask] = merged.get(mask, 0.0) + mass
+        if reason := mass_error(mask, mass):
+            raise ValueError(reason)
+        merged[mask] = merged.get(mask, 0.0) + float(mass)
     return DNumber(frame, merged)
 
 

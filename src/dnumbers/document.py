@@ -19,9 +19,10 @@ involving the unknown element live under ``unknown.non_exclusivity`` as a
 label-to-degree mapping; pairs naming "X" in the top-level list are also
 accepted on input.
 
-This module checks the JSON shape; ``core.label_error`` and
-``core.pair_errors`` hold the label and degree rules. Every frame serializes,
-and canonical documents round-trip bit-exactly through serialize ∘ parse.
+This module checks the JSON shape; ``core.label_error``,
+``core.pair_errors`` and ``core.mass_error`` hold the label, degree and
+mass rules. Every D number serializes, and canonical documents round-trip
+bit-exactly through serialize ∘ parse.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import (
     build_dnumber,
     is_cardinality,
     label_error,
+    mass_error,
     pair_errors,
 )
 
@@ -51,7 +53,8 @@ class DocumentError(ValueError):
 
 
 def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
-    """Parse and validate a document, returning the frame and raw D number.
+    """Parse and validate a document, returning the frame and the raw D
+    number on it, ``(d.frame, d)``.
 
     All violations are collected and reported together. One inside an
     entry or field names it (``frame[0]``, ``unknown['size']``,
@@ -66,10 +69,14 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     in one loop per list, the rules :func:`build_frame` holds, each
     pair two labels first, and each reason is reported at its entry. An
     ``unknown.non_exclusivity`` item ``{label: p}`` is checked as the pair
-    entry ``([label, "X"], p)``, and its key must be a frame label.
-    Duplicate mass entries for the same set are rejected outright to
-    surface authoring errors. The total mass is summed with ``math.fsum``,
-    as :class:`DNumber` sums it, and may exceed 1 by at most ``MASS_TOL``.
+    entry ``([label, "X"], p)``, and its key must be a frame label. A
+    mass entry's set must name only frame labels, checked first, as a set
+    of unknown labels has mask 0; then the entry must pass
+    :func:`mass_error`, the rules :class:`DNumber` holds, with its message
+    reported at ``masses[k]``. Duplicate mass entries for the same set are
+    rejected outright to surface authoring errors. The total mass is
+    summed with ``math.fsum``, as :class:`DNumber` sums it, and may exceed
+    1 by at most ``MASS_TOL``.
 
     The checks map each label to its index once, X to N, and key each
     degree by its index pair and each mass by its mask, found in one pass
@@ -143,19 +150,14 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         mask, unknown_label = _subset_mask(subset, index)
         if mask is None:
             error = '"set" must be a list of labels'
-        elif not subset:
-            error = "mass on empty set: D(∅) must be 0"
-        elif not ((type(mass) is float or type(mass) is int)
-                  and 0.0 <= mass <= 1.0 + MASS_TOL):
-            error = f"mass must be a nonnegative number no greater than 1, got {mass!r}"
-        elif unknown_label is not None:
+        elif unknown_label is not None:  # first: a set of unknown labels has mask 0
             error = f"unknown label {unknown_label!r}"
-        elif mask in masses:
+        elif (error := mass_error(mask, mass)) is None and mask in masses:
             error = f"duplicate entry for set {sorted(subset)}"
-        else:
+        if error is None:
             masses[mask] = float(mass)
-            continue
-        errors.append(f"masses[{k}]: {error}")
+        else:
+            errors.append(f"masses[{k}]: {error}")
 
     total = math.fsum(masses.values())
     if total > 1.0 + MASS_TOL:
@@ -212,8 +214,9 @@ def _subset_mask(subset, index: dict[str, int]) -> tuple[int | None, str | None]
     return mask, unknown
 
 
-def document_dict(frame: Frame, d: DNumber) -> dict:
-    """Canonical document object for a frame and D number."""
+def document_dict(d: DNumber) -> dict:
+    """Canonical document object for a D number and its frame, ``d.frame``."""
+    frame = d.frame
     doc: dict = {"frame": list(frame.elements)}
 
     x = frame.x_index
@@ -237,10 +240,12 @@ def document_dict(frame: Frame, d: DNumber) -> dict:
     return doc
 
 
-def serialize_document(frame: Frame, d: DNumber) -> str:
-    """Canonical UTF-8 JSON text; byte-identical for equal inputs.
+def serialize_document(d: DNumber) -> str:
+    """Canonical UTF-8 JSON text of ``d`` on its frame, ``d.frame``; one
+    D number always gives the same bytes.
 
-    Every :class:`Frame` serializes, and the text parses back to it:
-    ``Frame`` holds the same label rules as :func:`parse_document`.
+    Every D number serializes, and the text parses back to ``(d.frame, d)``:
+    ``Frame`` and :class:`DNumber` hold the label and mass rules
+    :func:`parse_document` holds.
     """
-    return json.dumps(document_dict(frame, d), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(document_dict(d), indent=2, ensure_ascii=False) + "\n"

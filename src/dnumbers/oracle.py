@@ -71,7 +71,7 @@ class CheckReport:
     """Outcome of a property run over generated or enumerated instances.
 
     A suite draws each instance with a context and hands both, with its
-    violation function, to :meth:`check`.
+    violation function, to :meth:`check`, the one way into the report.
     """
 
     name: str
@@ -84,29 +84,25 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, violation: float, tol: float, d: DNumber, **context) -> None:
-        """Fold one checked instance into the report.
+    def check(self, violation, tol: float, d: DNumber, context: dict) -> None:
+        """Fold ``violation(d, context)``, which may add to ``context``, into
+        the report; a ``ValueError`` it raises is an unbounded violation, its
+        message ``error``.
 
         Only a violation above ``tol`` builds a counterexample: the document
         of ``d`` with ``context`` under its ``check`` key, where a D number
         becomes its document.
         """
-        self.max_violation = max(self.max_violation, violation)
-        if violation > tol:
-            doc = document_dict(d.frame, d)
-            doc["check"] = {key: document_dict(value.frame, value)
-                            if isinstance(value, DNumber) else value
-                            for key, value in context.items()}
-            self.failures.append(doc)
-
-    def check(self, violation, tol: float, d: DNumber, context: dict) -> None:
-        """Record ``violation(d, context)``, which may add to ``context``; a
-        ``ValueError`` it raises is an unbounded violation, its message ``error``."""
         try:
             violation = violation(d, context)
         except ValueError as exc:
             violation, context["error"] = math.inf, str(exc)
-        self.record(violation, tol, d, **context)
+        self.max_violation = max(self.max_violation, violation)
+        if violation > tol:
+            doc = document_dict(d)
+            doc["check"] = {key: document_dict(value) if isinstance(value, DNumber)
+                            else value for key, value in context.items()}
+            self.failures.append(doc)
 
 
 def iter_indices(mask: int):

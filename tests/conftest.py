@@ -1,8 +1,16 @@
+import math
+
 import hypothesis.strategies as st
 
 import dnumbers as dn
 
 LETTERS = "abcdef"
+
+#: masses that break the rule on one mass, ``core.mass_error``, and their test ids
+BAD_MASSES = [True, False, "0.5", b"0.5", 10 ** 400, -(10 ** 400),
+              math.nan, math.inf, -0.1, 1.5]
+BAD_MASS_IDS = ["True", "False", "str", "bytes", "huge-int", "huge-negative-int",
+                "nan", "inf", "negative", "above-one"]
 
 
 def _pair_names(n):

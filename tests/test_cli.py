@@ -281,7 +281,7 @@ class TestMeasure:
         d = wide_dnumber(11, 64, 128, 0.05, 0.3, 0.6)
         assert not d.completed and any(m & d.frame.x_mask for m in d.masses)
         path = tmp_path / "wide.json"
-        path.write_text(dn.serialize_document(d.frame, d), encoding="utf-8")
+        path.write_text(dn.serialize_document(d), encoding="utf-8")
         assert cli.main(["measure", str(path), "--output", "json-lines"]) == 0
         *elements, summary = map(json.loads, capsys.readouterr().out.splitlines())
         full = dn.complete(d)
@@ -313,7 +313,7 @@ class TestMeasure:
             math.fsum(frame.nonexclusivity(m, 1 << i) * v for m, v in full.masses.items())
             for i in range(n + 1))
         path = tmp_path / "sparse.json"
-        path.write_text(dn.serialize_document(frame, d), encoding="utf-8")
+        path.write_text(dn.serialize_document(d), encoding="utf-8")
         assert cli.main(["measure", str(path), "--output", "json-lines"]) == 0
         *elements, summary = map(json.loads, capsys.readouterr().out.splitlines())
         assert [(row["bel"], row["pl"]) for row in elements] == [

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 
 import dnumbers as dn
 from dnumbers import oracle
-from dnumbers.core import label_error
+from dnumbers.core import MASS_TOL, label_error, mass_error
 from dnumbers.oracle import iter_indices
 
-from conftest import completed_dnumbers, raw_dnumbers
+from conftest import BAD_MASS_IDS, BAD_MASSES, completed_dnumbers, raw_dnumbers
 
 
 def exclusive(labels):
@@ -374,7 +374,7 @@ class TestBuildDNumber:
     @pytest.mark.parametrize("mass", [math.nan, math.inf])
     def test_non_finite_mass(self, mass):
         f = exclusive("ab")
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="no greater than 1"):
             dn.build_dnumber(f, [(f.subset("a"), mass)])
 
     def test_duplicates_merged_zeros_dropped(self):
@@ -388,16 +388,54 @@ class TestBuildDNumber:
             dn.build_dnumber(f, [(1, -0.1), (1, 0.3)])
 
 
+class TestMassRule:
+    """One copy of the rule on a mass, ``mass_error``, and one message
+    wherever a D number is made: no conversion and no ``OverflowError``."""
+
+    @pytest.mark.parametrize("mass", BAD_MASSES, ids=BAD_MASS_IDS)
+    def test_dnumber_raises_the_reason(self, mass):
+        assert mass_error(1, mass) is not None
+        with pytest.raises(ValueError) as err:
+            dn.DNumber(exclusive("ab"), {1: mass})
+        assert str(err.value) == mass_error(1, mass)
+
+    @pytest.mark.parametrize("mass", BAD_MASSES, ids=BAD_MASS_IDS)
+    def test_build_dnumber_raises_the_reason(self, mass):
+        with pytest.raises(ValueError) as err:
+            dn.build_dnumber(exclusive("ab"), [(1, mass)])
+        assert str(err.value) == mass_error(1, mass)
+
+    @pytest.mark.parametrize("mass", [0, 0.0, 0.5, 1, 1.0, 1.0 + MASS_TOL])
+    def test_bounds_accepted(self, mass):
+        assert mass_error(1, mass) is None
+        assert dn.build_dnumber(exclusive("ab"), [(1, mass)]).total_mass == mass
+
+    def test_empty_set_first(self):
+        assert mass_error(0, "0.5") == "mass on empty set: D(∅) must be 0"
+        for make in (lambda: dn.DNumber(exclusive("ab"), {0: 0.5}),
+                     lambda: dn.build_dnumber(exclusive("ab"), [(0, 0.5)])):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == mass_error(0, 0.5)
+
+    def test_valid_duplicates_merged_bad_entry_not_hidden(self):
+        f = exclusive("ab")
+        assert dn.build_dnumber(f, [(1, 0.25), (1, 0.5)]).masses == {1: 0.75}
+        with pytest.raises(ValueError) as err:
+            dn.build_dnumber(f, [(1, -0.1), (1, 0.3)])
+        assert str(err.value) == mass_error(1, -0.1)
+
+
 class TestDNumberInvariants:
     """Built directly, a ``DNumber`` holds to the same rules as ``build_dnumber``
     and works out ``completed`` and ``total_mass`` from its masses."""
 
     @pytest.mark.parametrize("masses,needle", [
         ({1: -3.0, 2: 0.5}, "negative"),
-        ({1: math.nan}, "not finite"),
-        ({1: math.inf}, "not finite"),
-        ({1: True}, "not a number"),
-        ({1: "0.5"}, "not a number"),
+        ({1: math.nan}, "no greater than 1"),
+        ({1: math.inf}, "no greater than 1"),
+        ({1: True}, "no greater than 1"),
+        ({1: "0.5"}, "no greater than 1"),
         ({8: 0.5}, "inside the frame"),
         ({-1: 0.5}, "inside the frame"),
         ({True: 0.5}, "inside the frame"),
@@ -459,7 +497,7 @@ class TestReadOnlyTables:
     def test_adjacency_built_on_first_read(self):
         # validate, gen and serialization never read the rows
         frame, d = oracle.generate_raw(oracle.GeneratorConfig(frame_size=5, seed=3))
-        text = dn.serialize_document(frame, d)
+        text = dn.serialize_document(d)
         parsed, _ = dn.parse_document(text)
         assert "adjacency" not in vars(frame) and "adjacency" not in vars(parsed)
         shown = repr(parsed)

@@ -10,7 +10,7 @@ import dnumbers as dn
 from dnumbers import core, document, oracle
 from dnumbers.document import DocumentError
 
-from conftest import raw_dnumbers
+from conftest import BAD_MASS_IDS, BAD_MASSES, raw_dnumbers
 
 MINIMAL = json.dumps({"frame": ["a", "b"],
                       "masses": [{"set": ["a", "b"], "mass": 1}]})
@@ -257,6 +257,39 @@ def test_unknown_key_reported_with_other_violations():
     ]
 
 
+@pytest.mark.parametrize("mass", [pytest.param(mass, id=name) for mass, name
+                                  in zip(BAD_MASSES, BAD_MASS_IDS)
+                                  if not isinstance(mass, bytes)])  # JSON holds no bytes
+def test_mass_rule_reported_as_the_library_raises_it(mass):
+    with pytest.raises(DocumentError) as err:
+        dn.parse_document(json.dumps({"frame": ["a", "b"],
+                                      "masses": [{"set": ["a"], "mass": mass}]}))
+    assert err.value.errors == [f"masses[0]: {core.mass_error(1, mass)}"]
+
+
+def test_unknown_label_reported_before_the_mass_rule():
+    # a set naming only unknown labels has mask 0: not the empty-set rule
+    for subset in (["a", "z"], ["z"]):
+        with pytest.raises(DocumentError) as err:
+            dn.parse_document(json.dumps({"frame": ["a"],
+                                          "masses": [{"set": subset, "mass": -1}]}))
+        assert err.value.errors == ["masses[0]: unknown label 'z'"]
+
+
+def test_serialized_from_the_dnumber_alone():
+    # every mass on the frame the D number holds, {c} and X included
+    frame = dn.build_frame("abc", 4, [(("a", "c"), 0.25), (("c", "X"), 0.5)])
+    d = dn.build_dnumber(frame, [(frame.subset("c"), 0.5), (frame.subset("ab"), 0.25),
+                                 (frame.x_mask, 0.125)])
+    text = dn.serialize_document(d)
+    assert json.loads(text)["masses"] == [
+        {"set": ["a", "b"], "mass": 0.25}, {"set": ["c"], "mass": 0.5},
+        {"set": ["X"], "mass": 0.125}]
+    parsed = dn.parse_document(text)
+    assert parsed == (frame, d)
+    assert dn.serialize_document(parsed[1]).encode("utf-8") == text.encode("utf-8")
+
+
 EVERY_FAULT = {
     "frame": ["a", "b", "c", "a", "d|e"],
     "unknown": {"cardinality": 1, "non_exclusivity": {
@@ -409,19 +442,19 @@ def test_non_canonical_document_builds_what_the_library_builds(n, density, seed)
 @settings(max_examples=60)
 @given(raw_dnumbers())
 def test_round_trip(d):
-    text = dn.serialize_document(d.frame, d)
+    text = dn.serialize_document(d)
     frame2, d2 = dn.parse_document(text)
     assert frame2 == d.frame
     assert d2 == d
-    assert dn.serialize_document(frame2, d2) == text
+    assert dn.serialize_document(d2) == text
 
 
 def test_generated_round_trip_bytes():
     cfg = oracle.GeneratorConfig(frame_size=4, focal_count=6, seed=17)
     frame, d = oracle.generate_raw(cfg)
-    text = dn.serialize_document(frame, d)
+    text = dn.serialize_document(d)
     frame2, d2 = dn.parse_document(text.encode("utf-8"))
-    assert dn.serialize_document(frame2, d2).encode("utf-8") == text.encode("utf-8")
+    assert dn.serialize_document(d2).encode("utf-8") == text.encode("utf-8")
 
 
 @pytest.mark.parametrize("label, needle", [
@@ -472,7 +505,7 @@ def test_frame_accepts_the_labels_a_document_accepts(labels):
         frame = dn.Frame(labels, None, {(0, n): 0.5, (0, n - 1): 1.0} if n > 1
                          else {(0, 1): 0.5})
         d = dn.DNumber(frame, {1: 1.0})
-        text = dn.serialize_document(frame, d)
+        text = dn.serialize_document(d)
         assert dn.parse_document(text) == (frame, d)
         assert dn.parse_document(text.encode("utf-8")) == (frame, d)
 

@@ -105,9 +105,9 @@ class TestGenerate:
         cfg = oracle.GeneratorConfig(frame_size=4, focal_count=5, seed=99)
         a, b = dn.generate(cfg), dn.generate(cfg)
         assert a == b
-        fa, ra = oracle.generate_raw(cfg)
-        fb, rb = oracle.generate_raw(cfg)
-        assert dn.serialize_document(fa, ra) == dn.serialize_document(fb, rb)
+        _, ra = oracle.generate_raw(cfg)
+        _, rb = oracle.generate_raw(cfg)
+        assert dn.serialize_document(ra) == dn.serialize_document(rb)
 
     def test_infeasible_focal_count(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -191,7 +191,7 @@ class TestCheckers:
     def test_counterexamples_serialize(self):
         report = oracle.CheckReport("demo", trials=1)
         f, d = make("ab", [("a", 0.6)])
-        report.record(1.0, 1e-9, d, trial=0)
+        report.check(lambda d, context: 1.0, 1e-9, d, {"trial": 0})
         assert not report.ok
         assert report.failures[0]["frame"] == ["a", "b"]
 
@@ -199,18 +199,18 @@ class TestCheckers:
         built = []
         document_dict = oracle.document_dict
         monkeypatch.setattr(oracle, "document_dict",
-                            lambda frame, d: built.append(d) or document_dict(frame, d))
+                            lambda d: built.append(d) or document_dict(d))
         f, d = make("ab", [("a", 0.6)])
         pair = oracle._mix_with_vacuous(d, 0.5)
         report = oracle.CheckReport("demo", trials=2)
-        report.record(1e-10, 1e-9, d, trial=0, pair=pair)
+        report.check(lambda d, context: 1e-10, 1e-9, d, {"trial": 0, "pair": pair})
         assert report.ok and built == []
         assert report.max_violation == 1e-10
-        report.record(1.0, 1e-9, d, trial=1, pair=pair)
+        report.check(lambda d, context: 1.0, 1e-9, d, {"trial": 1, "pair": pair})
         assert not report.ok and report.max_violation == 1.0
         doc = report.failures[0]
         assert doc["frame"] == ["a", "b"] and doc["check"]["trial"] == 1
-        assert doc["check"]["pair"] == document_dict(f, pair)
+        assert doc["check"]["pair"] == document_dict(pair)
 
     def test_degeneration_forces_classical_bpas(self):
         config = oracle.GeneratorConfig(frame_size=3, focal_count=3, seed=2)
