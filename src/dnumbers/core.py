@@ -244,8 +244,11 @@ class Frame:
         pair is stored. On disjoint sets it walks the strongest-first row
         of each member of the smaller set, and stops at the first
         neighbour in the other set or at a degree no larger than the best
-        so far.
+        so far. A mask with bits outside the frame raises ``ValueError``.
         """
+        if (a | b) & ~self.full_mask:  # a negative mask has bits outside too
+            raise ValueError(f"subset mask {a if a & ~self.full_mask else b!r} "
+                             f"is not inside the frame")
         if a == 0 or b == 0:
             raise ValueError("non-exclusivity is undefined for the empty set")
         if a & b:
@@ -282,8 +285,11 @@ class Frame:
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        """Labels of a subset mask, frame order, X last."""
-        out = [self.elements[i] for i in range(self.size) if mask >> i & 1]
+        """Labels of a subset mask, frame order, X last. A mask with bits
+        outside the frame raises ``ValueError``."""
+        if mask & ~self.full_mask:
+            raise ValueError(f"subset mask {mask!r} is not inside the frame")
+        out = [label for i, label in enumerate(self.elements) if mask >> i & 1]
         if mask & self.x_mask:
             out.append(X_LABEL)
         return tuple(out)
@@ -411,16 +417,25 @@ class DNumber:
 def build_dnumber(frame: Frame, entries) -> DNumber:
     """Build a D number from (mask, mass) entries that may repeat a mask.
 
-    An entry that breaks a :func:`mass_error` rule raises its reason
-    before duplicate subsets are merged, so a merge cannot hide it. Only
-    numbers pass, so only numbers are converted with ``float``: ``True``,
-    ``"0.5"`` and ``10**400`` are rejected. The merged table goes to
-    :class:`DNumber`, which holds every other rule. A table that already
-    holds one ``float`` per mask can go to :class:`DNumber` directly, as
+    Each entry is checked for what a merge of duplicate subsets would
+    hide, before the merge: it must unpack to a (mask, mass) pair, its
+    mask must be an ``int``, not a ``bool`` (``1.0`` and ``True`` would
+    merge into the key ``1``), and its mass must pass :func:`mass_error`.
+    Each raises ``ValueError`` with its reason. Only numbers pass, so
+    only numbers are converted with ``float``: ``True``, ``"0.5"`` and
+    ``10**400`` are rejected. The merged table goes to :class:`DNumber`,
+    which holds every other rule. A table that already holds one
+    ``float`` per mask can go to :class:`DNumber` directly, as
     ``oracle.generate_raw``'s does.
     """
     merged: dict[int, float] = {}
-    for mask, mass in entries:
+    for entry in entries:
+        try:
+            mask, mass = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"entry {entry!r} is not a (mask, mass) pair") from None
+        if type(mask) is not int:
+            raise ValueError(f"subset mask {mask!r} is not an int inside the frame")
         if reason := mass_error(mask, mass):
             raise ValueError(reason)
         merged[mask] = merged.get(mask, 0.0) + float(mass)
@@ -458,23 +473,27 @@ def bel(d: DNumber, a: int) -> float:
         raise _query_error(d, a)
     if a & (a - 1) == 0:  # one bit, or the empty set, which holds no mass
         return float(d.masses.get(a, 0.0))
-    return math.fsum(v for m, v in d.masses.items() if m & ~a == 0)
+    return math.fsum([v for m, v in d.masses.items() if m & ~a == 0])
 
 
 def pl(d: DNumber, a: int) -> float:
     """Plausibility of subset ``a``: mass weighted by non-exclusivity.
 
-    A singleton or {X} is read from :attr:`DNumber.singleton_pl`; any
+    A singleton or {X} is read from :attr:`DNumber.singleton_pl`. Any
     other subset sums ``Frame.nonexclusivity(b, a) * D(b)`` over the focal
-    sets b. Reduces to the classical plausibility when all stored degrees
-    are 0. A mask with bits outside the frame raises ``ValueError``.
+    sets b: a focal set that meets ``a`` adds D(b) itself, as its factor
+    is 1, and only the disjoint ones go through
+    :meth:`Frame.nonexclusivity`. Reduces to the classical plausibility
+    when all stored degrees are 0. A mask with bits outside the frame
+    raises ``ValueError``.
     """
     if not d.completed or a & ~d.frame.full_mask:
         raise _query_error(d, a)
     if a & (a - 1) == 0:  # one bit, or the empty set
         return d.singleton_pl[a.bit_length() - 1] if a else 0.0
-    frame = d.frame
-    return math.fsum(frame.nonexclusivity(m, a) * v for m, v in d.masses.items())
+    nonexclusivity = d.frame.nonexclusivity
+    return math.fsum([v if m & a else nonexclusivity(m, a) * v
+                      for m, v in d.masses.items()])
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ from .core import DNumber, is_bpa
 
 def bel_m(masses: dict[frozenset, float], a: frozenset) -> float:
     """Classical belief: sum of m(B) over B ⊆ A."""
-    return math.fsum(v for b, v in masses.items() if b <= a)
+    return math.fsum([v for b, v in masses.items() if b <= a])
 
 
 def pl_m(masses: dict[frozenset, float], a: frozenset) -> float:
     """Classical plausibility: sum of m(B) over B with B ∩ A nonempty."""
-    return math.fsum(v for b, v in masses.items() if b & a)
+    return math.fsum([v for b, v in masses.items() if b & a])
 
 
 def mass_function(d: DNumber) -> dict[frozenset, float]:

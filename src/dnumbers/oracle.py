@@ -185,10 +185,10 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
         b = (b - 1) & a
     lower = math.fsum(subsets)
     lookup, members = d.frame.lookup, list(iter_indices(a))
-    upper = math.fsum(
+    upper = math.fsum([
         mass if b & a
-        else max(lookup(i, j) for i in iter_indices(b) for j in members) * mass
-        for b, mass in masses.items())
+        else max([lookup(i, j) for i in iter_indices(b) for j in members]) * mass
+        for b, mass in masses.items()])
     return BeliefInterval(lower, upper)
 
 

@@ -430,6 +430,23 @@ class TestCheck:
         assert written
         json.loads(written[0].read_text(encoding="utf-8"))
 
+    @pytest.mark.parametrize("counted, code", [
+        (lambda m, a: m & a, 0),  # the rule itself: a focal set meeting A adds D(B)
+        (lambda m, a: m & ~a, 2),  # a focal set disjoint from A adds D(B) in full
+    ], ids=["rule", "disjoint-in-full"])
+    def test_mutated_general_pl_fails_oracle(self, counted, code, capsys, monkeypatch):
+        pl = core.pl
+
+        def mutant(d, a):
+            if a & (a - 1) == 0:
+                return pl(d, a)
+            nonexclusivity = d.frame.nonexclusivity
+            return math.fsum([v if counted(m, a) else nonexclusivity(m, a) * v
+                              for m, v in d.masses.items()])
+        monkeypatch.setattr(core, "pl", mutant)
+        assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
+        assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
+
     def test_mutated_adjacency_fails_oracle(self, capsys, monkeypatch):
         # drop every pair with X from the adjacency but not from ``degrees``,
         # which the oracle reads through ``lookup``

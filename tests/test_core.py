@@ -294,6 +294,16 @@ class TestNonexclusivity:
         with pytest.raises(ValueError):
             f.nonexclusivity(0, f.subset("a"))
 
+    @pytest.mark.parametrize("a, b, outside", [
+        (1, 1 << 10, 1 << 10), (-1, 4, -1), (1 << 10, 1, 1 << 10),
+        (4, -1, -1), (0b11000, 1, 0b11000), (0, 1 << 4, 1 << 4),
+    ])
+    def test_mask_outside_frame_rejected(self, a, b, outside):
+        f = exclusive("abc")
+        with pytest.raises(ValueError) as err:
+            f.nonexclusivity(a, b)
+        assert str(err.value) == f"subset mask {outside!r} is not inside the frame"
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.integers(1, 64), st.sampled_from([0.05, 0.5, 1.0]),
            st.integers(0, 2 ** 32), st.data())
@@ -386,6 +396,32 @@ class TestBuildDNumber:
         f = exclusive("ab")
         with pytest.raises(ValueError, match="negative"):
             dn.build_dnumber(f, [(1, -0.1), (1, 0.3)])
+
+    @pytest.mark.parametrize("mask", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["int-first", "int-last"])
+    def test_mask_not_an_int_not_hidden_by_merge(self, mask, order):
+        # 1 == 1.0 == True, so a dict would merge them into one key
+        entries = [(1, 0.2), (mask, 0.3)][::order]
+        with pytest.raises(ValueError) as err:
+            dn.build_dnumber(exclusive("ab"), entries)
+        assert str(err.value) == f"subset mask {mask!r} is not an int inside the frame"
+
+    @pytest.mark.parametrize("entry, reason", [
+        (([1], 0.5), "subset mask [1] is not an int inside the frame"),
+        (5, "entry 5 is not a (mask, mass) pair"),
+        ((1, 0.5, 3), "entry (1, 0.5, 3) is not a (mask, mass) pair"),
+        ((1,), "entry (1,) is not a (mask, mass) pair"),
+        ("ab", "subset mask 'a' is not an int inside the frame"),
+        ({1: 0.5}, "entry {1: 0.5} is not a (mask, mass) pair"),
+    ])
+    def test_entry_not_a_pair(self, entry, reason):
+        with pytest.raises(ValueError) as err:
+            dn.build_dnumber(exclusive("ab"), [(1, 0.25), entry])
+        assert str(err.value) == reason
+
+    def test_list_entries_accepted(self):
+        d = dn.build_dnumber(exclusive("ab"), [[1, 0.25], [1, 0.5]])
+        assert d.masses == {1: 0.75}
 
 
 class TestMassRule:
@@ -636,6 +672,58 @@ class TestBelPl:
             measure(d, mask)
 
 
+def _reference_bel(d, a):
+    """``core.bel`` with its sum fed by a generator."""
+    if a & (a - 1) == 0:
+        return float(d.masses.get(a, 0.0))
+    return math.fsum(v for m, v in d.masses.items() if m & ~a == 0)
+
+
+def _reference_pl(d, a):
+    """``core.pl`` with every focal set through ``Frame.nonexclusivity``,
+    its sum fed by a generator."""
+    if a & (a - 1) == 0:
+        return d.singleton_pl[a.bit_length() - 1] if a else 0.0
+    frame = d.frame
+    return math.fsum(frame.nonexclusivity(m, a) * v for m, v in d.masses.items())
+
+
+def _reference_oracle(d, a):
+    """``oracle.oracle_bel_pl``'s two sums, fed by generators."""
+    masses, subsets, b = d.masses, [], a
+    while b:
+        subsets.append(masses.get(b, 0.0))
+        b = (b - 1) & a
+    lookup, members = d.frame.lookup, list(iter_indices(a))
+    upper = math.fsum(
+        mass if b & a
+        else max(lookup(i, j) for i in iter_indices(b) for j in members) * mass
+        for b, mass in masses.items())
+    return math.fsum(subsets), upper
+
+
+class TestGeneralSubsets:
+    """Bel and Pl of every subset, on the routes ``check`` runs, equal the
+    generator-fed, all-``nonexclusivity`` expressions bit for bit."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from(["complete", "incomplete"]),
+           st.sampled_from(["exclusive", "random-degrees"]), st.integers(0, 2 ** 32),
+           st.data())
+    def test_bit_identical_to_generator_fed_sums(self, n, completeness,
+                                                 exclusivity, seed, data):
+        focal = data.draw(st.integers(1, min(8, 2 ** n - 1)))
+        d = oracle.generate(oracle.GeneratorConfig(
+            frame_size=n, focal_count=focal, completeness=completeness,
+            exclusivity=exclusivity, seed=seed))
+        for a in range(d.frame.full_mask + 1):
+            slow = oracle.oracle_bel_pl(d, a)
+            lower, upper = _reference_oracle(d, a) if a else (0.0, 0.0)
+            assert dn.bel(d, a).hex() == _reference_bel(d, a).hex()
+            assert dn.pl(d, a).hex() == _reference_pl(d, a).hex()
+            assert (slow.lower.hex(), slow.upper.hex()) == (lower.hex(), upper.hex())
+
+
 class TestSingletonPl:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(1, 64), st.sampled_from([0.05, 0.5, 1.0]),
@@ -681,6 +769,20 @@ class TestSingletonPl:
             d.singleton_pl = (0.0, 0.0, 0.0)
         assert dataclasses.replace(d, masses={f.subset("b"): 1.0}).singleton_pl == (
             0.5, 1.0, 0.0)
+
+
+class TestLabelsOf:
+    def test_frame_order_x_last(self):
+        f = exclusive("abc")
+        assert f.labels_of(0) == ()
+        assert f.labels_of(0b1101) == ("a", "c", "X")
+        assert f.labels_of(f.full_mask) == ("a", "b", "c", "X")
+
+    @pytest.mark.parametrize("mask", [-1, 0b110000, 1 << 10, (1 << 70) | 1])
+    def test_mask_outside_frame_rejected(self, mask):
+        with pytest.raises(ValueError) as err:
+            exclusive("abc").labels_of(mask)
+        assert str(err.value) == f"subset mask {mask!r} is not inside the frame"
 
 
 class TestBeliefInterval:
