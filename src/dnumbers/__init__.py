@@ -14,7 +14,6 @@ from .core import (
     build_dnumber,
     build_frame,
     complete,
-    is_bpa,
     pl,
 )
 from .document import DocumentError, parse_document, serialize_document
@@ -27,26 +26,18 @@ from .measures import (
     uu_coefficient,
 )
 
-#: Exports of :mod:`.oracle`, which (with :mod:`.dst`) loads on first use,
-#: so ``validate`` and ``measure`` never import it
-_ORACLE_NAMES = ("CheckReport", "GeneratorConfig", "dst_ku_reference", "generate",
-                 "oracle_bel_pl")
-
 __all__ = [
     "MASS_TOL", "X_LABEL", "BeliefInterval", "DNumber", "Frame",
-    "bel", "belief_interval", "build_dnumber", "build_frame", "complete",
-    "is_bpa", "pl",
+    "bel", "belief_interval", "build_dnumber", "build_frame", "complete", "pl",
     "DocumentError", "parse_document", "serialize_document",
-    "TotalUncertainty", "UnknownModel", "dst_ku_reference",
+    "TotalUncertainty", "UnknownModel",
     "interval_distance_to_unit", "ku", "total_uncertainty", "uu_coefficient",
-    "CheckReport", "GeneratorConfig", "generate", "oracle_bel_pl",
 ]
 
 
 def __getattr__(name):
-    """The lazy ``oracle`` and ``dst`` submodules and the oracle's exports (PEP 562)."""
+    """The ``oracle`` and ``dst`` submodules, loaded on first use (PEP 562), so
+    ``validate`` and ``measure`` never import them."""
     if name in ("oracle", "dst"):
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _ORACLE_NAMES:
-        return getattr(importlib.import_module(f"{__name__}.oracle"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

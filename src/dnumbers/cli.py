@@ -24,7 +24,10 @@ EXIT_PROPERTY = 2
 EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141
 
-SUITES = ("range", "monotonicity", "set-consistency", "degeneration", "oracle")
+#: Each property suite's name and the :mod:`.oracle` function that runs it
+SUITES = {"range": "check_range", "monotonicity": "check_monotonicity",
+          "set-consistency": "check_set_consistency",
+          "degeneration": "check_degeneration", "oracle": "check_oracle_equivalence"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsets", default="singletons", choices=["singletons", "all"])
 
     p = sub.add_parser("check", help="run property suites")
-    p.add_argument("suite", choices=SUITES + ("all",))
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frame-size", type=int, default=3)
@@ -129,17 +132,11 @@ def cmd_measure(args) -> int:
 def _run_suite(oracle, name: str, trials: int, config):
     # looks each suite up on the oracle module at call time, so wrappers
     # patched onto that module apply
-    if name == "range":
-        return oracle.check_range(trials, config)
-    if name == "monotonicity":
-        return oracle.check_monotonicity(trials, config)
+    check = getattr(oracle, SUITES[name])
     if name == "set-consistency":
         # seeded random degree matrix exercises the non-exclusive terms
-        frame, _ = oracle.generate_raw(config)
-        return oracle.check_set_consistency(frame)
-    if name == "degeneration":
-        return oracle.check_degeneration(trials, config)
-    return oracle.check_oracle_equivalence(trials, config)
+        return check(oracle.generate_raw(config).frame)
+    return check(trials, config)
 
 
 def cmd_check(args) -> int:
@@ -176,8 +173,7 @@ def cmd_gen(args) -> int:
                                     completeness=args.completeness,
                                     exclusivity=args.exclusivity,
                                     seed=args.seed)
-    _, d = oracle.generate_raw(config)
-    text = serialize_document(d)
+    text = serialize_document(oracle.generate_raw(config))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -295,14 +295,14 @@ class Frame:
         return tuple(out)
 
 
-def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
+def build_frame(labels, unknown_cardinality=None, degrees=()) -> Frame:
     """Build a frame from labels; :class:`Frame` checks labels and cardinality.
 
     This is the library's label-level constructor. ``parse_document`` and
     ``oracle.generate_raw`` do not call it: each already holds index pairs
     and builds its :class:`Frame` from them directly.
 
-    ``unknown_cardinality`` is "unknown" or ``None`` for an unknown size.
+    ``unknown_cardinality`` is ``None`` for an unknown size.
     The labels and the cardinality are checked first, then ``degrees``, an
     iterable of ((label_a, label_b), p) entries; labels may include the
     reserved "X". An entry that is not a (pair, p) tuple or list, or a
@@ -311,8 +311,7 @@ def build_frame(labels, unknown_cardinality="unknown", degrees=()) -> Frame:
     pair naming one label twice. The symmetric closure is taken, and
     zeros are not stored.
     """
-    card = None if unknown_cardinality == "unknown" else unknown_cardinality
-    frame = Frame(labels, card, {})
+    frame = Frame(labels, unknown_cardinality, {})
     index = {label: i for i, label in enumerate(frame.elements)}
     index[X_LABEL] = frame.x_index
     given: dict[tuple[int, int], float] = {}
@@ -512,16 +511,3 @@ class BeliefInterval:
 def belief_interval(d: DNumber, a: int) -> BeliefInterval:
     """Belief interval [bel, pl] of subset ``a``."""
     return BeliefInterval(bel(d, a), pl(d, a))
-
-
-def is_bpa(d: DNumber) -> bool:
-    """True iff ``d`` is a classical basic probability assignment.
-
-    Requires completed input with no mass touching X and a fully
-    exclusive frame.
-    """
-    if not d.completed:
-        return False
-    if any(m & d.frame.x_mask for m in d.masses):
-        return False
-    return not d.frame.degrees

@@ -8,7 +8,20 @@ from __future__ import annotations
 
 import math
 
-from .core import DNumber, is_bpa
+from .core import DNumber
+
+
+def is_bpa(d: DNumber) -> bool:
+    """True iff ``d`` is a classical basic probability assignment.
+
+    Requires completed input with no mass touching X and a fully
+    exclusive frame.
+    """
+    if not d.completed:
+        return False
+    if any(m & d.frame.x_mask for m in d.masses):
+        return False
+    return not d.frame.degrees
 
 
 def bel_m(masses: dict[frozenset, float], a: frozenset) -> float:

@@ -118,9 +118,8 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def generate_raw(config: GeneratorConfig, rng: random.Random | None = None,
-                 ) -> tuple[Frame, DNumber]:
-    """One random frame and raw (possibly incomplete) D number.
+def generate_raw(config: GeneratorConfig, rng: random.Random | None = None) -> DNumber:
+    """One raw (possibly incomplete) D number on a random frame, ``d.frame``.
 
     The frame is built as a :class:`Frame` straight from its index pairs:
     with random degrees, each pair (i, j), i < j <= N, X included, draws
@@ -146,13 +145,12 @@ def generate_raw(config: GeneratorConfig, rng: random.Random | None = None,
     total = 1.0 if completeness == "complete" else max(rng.random(), 1e-6)
 
     masses = {m: w / scale * total for m, w in zip(focal, weights)}
-    return frame, DNumber(frame, masses)
+    return DNumber(frame, masses)
 
 
 def generate(config: GeneratorConfig, rng: random.Random | None = None) -> DNumber:
     """One random completed D number, reproducible by seed."""
-    _, d = generate_raw(config, rng)
-    return complete(d)
+    return complete(generate_raw(config, rng))
 
 
 def _check_enumerable(frame: Frame) -> None:
@@ -236,10 +234,11 @@ def check_range(trials: int, config: GeneratorConfig) -> CheckReport:
 
 
 def _mix_with_vacuous(d: DNumber, weight: float) -> DNumber:
-    """Blend a completed D number with the vacuous one (mass on Θ ∪ {X})."""
+    """Blend a completed D number with the vacuous one (mass on Θ ∪ {X}); the blend is
+    complete as built, as its total 1 - (1 - w)(1 - t) is nearer 1 than d's total t."""
     entries = [(m, (1.0 - weight) * v) for m, v in d.masses.items()]
     entries.append((d.frame.full_mask, weight))
-    return complete(build_dnumber(d.frame, entries))
+    return build_dnumber(d.frame, entries)
 
 
 def monotonicity_violation(d: DNumber, context: dict) -> float:
@@ -337,5 +336,6 @@ def oracle_violation(d: DNumber, context: dict) -> float:
 
 
 def check_oracle_equivalence(trials: int, config: GeneratorConfig) -> CheckReport:
-    """Core belief intervals equal the literal-definition oracle, all subsets."""
-    return _run_trials("oracle", trials, config, oracle_violation, ORACLE_TOL)
+    """Core belief intervals equal the literal-definition oracle, all subsets, exactly:
+    both form the same rounded products and sum them with ``math.fsum``."""
+    return _run_trials("oracle", trials, config, oracle_violation, 0.0)

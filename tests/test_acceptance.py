@@ -99,10 +99,10 @@ def test_criterion_7_cli_contract(capsys, monkeypatch, tmp_path):
     for k in range(200):
         cfg = GeneratorConfig(frame_size=2 + k % 3, focal_count=1 + k % 3,
                               seed=700 + k)
-        frame, d = oracle.generate_raw(cfg)
+        d = oracle.generate_raw(cfg)
         text = dn.serialize_document(d)
         frame2, d2 = dn.parse_document(text)
-        ok = ok and frame2 == frame and d2 == d
+        ok = ok and frame2 == d.frame and d2 == d
         ok = ok and dn.serialize_document(d2) == text
 
     # standard green run

@@ -41,8 +41,8 @@ def test_non_specificity_vacuous_dnumber_tops_ku_and_uu(n, exclusivity):
     # all mass on Θ ∪ {X}: every singleton's interval is [0, 1], the most
     # uncertain one, so KU = N and UU = 1, the top of their ranges
     for seed in range(5):
-        frame, _ = oracle.generate_raw(oracle.GeneratorConfig(
-            frame_size=n, exclusivity=exclusivity, seed=seed))
+        frame = oracle.generate_raw(oracle.GeneratorConfig(
+            frame_size=n, exclusivity=exclusivity, seed=seed)).frame
         vacuous = dn.DNumber(frame, {frame.full_mask: 1.0})
         assert dn.ku(vacuous) == n
         assert dn.uu_coefficient(vacuous) == 1.0

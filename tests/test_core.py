@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import dnumbers as dn
-from dnumbers import oracle
+from dnumbers import dst, oracle
 from dnumbers.core import MASS_TOL, label_error, mass_error
 from dnumbers.oracle import iter_indices
 
@@ -71,7 +71,7 @@ class TestBuildFrame:
         assert f.lookup(f.x_index, f.x_index) == 1.0
 
     def test_x_pair_allowed(self):
-        f = dn.build_frame("ab", "unknown", [(("a", "X"), 0.7)])
+        f = dn.build_frame("ab", None, [(("a", "X"), 0.7)])
         assert f.lookup(0, f.x_index) == 0.7
         assert f.unknown_cardinality is None
 
@@ -127,14 +127,14 @@ class TestFrameInvariants:
         with pytest.raises(ValueError, match=needle):
             dn.Frame(elements, cardinality, {})
 
-    @pytest.mark.parametrize("cardinality", [2.9, "3", True, 0])
+    @pytest.mark.parametrize("cardinality", [2.9, "3", True, 0, "unknown"])
     def test_build_frame_does_not_coerce_cardinality(self, cardinality):
         with pytest.raises(ValueError, match="at least 2"):
             dn.build_frame("ab", cardinality, [])
 
-    @pytest.mark.parametrize("cardinality", ["unknown", None])
-    def test_unknown_size(self, cardinality):
-        assert dn.build_frame("ab", cardinality, []).unknown_cardinality is None
+    @pytest.mark.parametrize("args", [(None, []), ()], ids=["None", "default"])
+    def test_unknown_size(self, args):
+        assert dn.build_frame("ab", *args).unknown_cardinality is None
 
     def test_cardinality_beyond_float_range(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -532,8 +532,8 @@ class TestReadOnlyTables:
 
     def test_adjacency_built_on_first_read(self):
         # validate, gen and serialization never read the rows
-        frame, d = oracle.generate_raw(oracle.GeneratorConfig(frame_size=5, seed=3))
-        text = dn.serialize_document(d)
+        d = oracle.generate_raw(oracle.GeneratorConfig(frame_size=5, seed=3))
+        frame, text = d.frame, dn.serialize_document(d)
         parsed, _ = dn.parse_document(text)
         assert "adjacency" not in vars(frame) and "adjacency" not in vars(parsed)
         shown = repr(parsed)
@@ -813,20 +813,20 @@ class TestBeliefInterval:
 class TestIsBpa:
     def test_vacuous_exclusive(self):
         f = exclusive("ab")
-        assert dn.is_bpa(dn.build_dnumber(f, [(f.theta_mask, 1.0)]))
+        assert dst.is_bpa(dn.build_dnumber(f, [(f.theta_mask, 1.0)]))
 
     def test_mass_on_x(self):
         f = exclusive("ab")
         d = dn.complete(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
-        assert not dn.is_bpa(d)
+        assert not dst.is_bpa(d)
 
     def test_nonexclusive_frame(self):
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
-        assert not dn.is_bpa(dn.build_dnumber(f, [(f.subset("a"), 1.0)]))
+        assert not dst.is_bpa(dn.build_dnumber(f, [(f.subset("a"), 1.0)]))
 
     def test_incomplete(self):
         f = exclusive("ab")
-        assert not dn.is_bpa(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
+        assert not dst.is_bpa(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
 
 
 class TestProperties:
