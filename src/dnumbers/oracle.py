@@ -19,19 +19,15 @@ from dataclasses import dataclass, field, replace
 from . import dst, measures
 from .core import (
     ENUMERATION_CAP,
+    MASS_TOL,
     BeliefInterval,
     DNumber,
     Frame,
-    bel,
     belief_interval,
     build_dnumber,
     complete,
-    pl,
 )
 from .document import document_dict
-
-ORACLE_TOL = 1e-12
-RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
 
     Bel walks the 2^|A| - 1 nonempty subsets of ``a`` and sums their
     masses. Pl walks all focal sets and applies the two-branch rule (1 on
-    intersection, pairwise-max degree on disjointness) directly from the
+    intersection, pairwise-max degree on disjointness, 0 for A = ∅) from the
     stored singleton degrees: |B| x |A| :meth:`.Frame.lookup` calls for
     each focal set B disjoint from ``a``. Both sums are taken with
     ``math.fsum`` and not clamped, so a total just above 1 shows as it does
@@ -175,8 +171,6 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
         raise ValueError("oracle requires a completed D number")
     if a & ~d.frame.full_mask:  # a negative mask has bits outside too
         raise ValueError(f"subset mask {a!r} is not inside the frame")
-    if a == 0:
-        return BeliefInterval(0.0, 0.0)
     masses, subsets, b = d.masses, [], a
     while b:  # the nonempty subsets of a, largest first
         subsets.append(masses.get(b, 0.0))
@@ -185,7 +179,8 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
     lookup, members = d.frame.lookup, list(iter_indices(a))
     upper = math.fsum([
         mass if b & a
-        else max([lookup(i, j) for i in iter_indices(b) for j in members]) * mass
+        else max([lookup(i, j) for i in iter_indices(b) for j in members],
+                 default=0.0) * mass
         for b, mass in masses.items()])
     return BeliefInterval(lower, upper)
 
@@ -193,15 +188,15 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
 def dst_ku_reference(bpa: DNumber) -> float:
     """KU recomputed through the classical DST layer.
 
-    Independent re-derivation path for degeneration checks; only valid
-    when the input is a classical BPA.
+    Independent re-derivation path for degeneration checks; only valid for
+    a classical BPA. Bel and Pl are clamped to [0, 1], as KU's distance is.
     """
     masses = dst.mass_function(bpa)
     terms = []
     for label in bpa.frame.elements:
         singleton = frozenset((label,))
-        lo = dst.bel_m(masses, singleton)
-        hi = dst.pl_m(masses, singleton)
+        lo = min(max(dst.bel_m(masses, singleton), 0.0), 1.0)
+        hi = min(max(dst.pl_m(masses, singleton), 0.0), 1.0)
         terms.append(1.0 - math.sqrt(lo * lo + (hi - 1.0) * (hi - 1.0)))
     return math.fsum(terms)
 
@@ -229,8 +224,8 @@ def range_violation(d: DNumber, context: dict) -> float:
 
 
 def check_range(trials: int, config: GeneratorConfig) -> CheckReport:
-    """Theorem: 0 <= KU <= N and 0 <= UU coefficient <= 1."""
-    return _run_trials("range", trials, config, range_violation, RANGE_TOL)
+    """Theorem: 0 <= KU <= N and 0 <= UU <= 1, to ``MASS_TOL``: UU is at most the total."""
+    return _run_trials("range", trials, config, range_violation, MASS_TOL)
 
 
 def _mix_with_vacuous(d: DNumber, weight: float) -> DNumber:
@@ -259,10 +254,10 @@ def check_monotonicity(trials: int, config: GeneratorConfig) -> CheckReport:
     Unconditioned random pairs essentially never nest, so each generated
     instance is paired with its blend with the vacuous D number, whose
     interval holds the instance's on every subset by construction: Bel
-    drops by the factor 1 - w and Pl gains the w term. A shortfall in that
-    nesting counts toward the pair's violation, as KU or UU falling does.
+    drops by the factor 1 - w and Pl gains w(1 - Pl) >= -w·``MASS_TOL``. A shortfall
+    beyond ``MASS_TOL`` counts toward the pair's violation, as KU or UU falling does.
     """
-    return _run_trials("monotonicity", trials, config, monotonicity_violation, RANGE_TOL,
+    return _run_trials("monotonicity", trials, config, monotonicity_violation, MASS_TOL,
                        lambda d, rng: {"pair": _mix_with_vacuous(d, rng.random())})
 
 
@@ -272,8 +267,17 @@ def set_consistency_violation(d: DNumber, context: dict) -> float:
     return abs(observed - context["expected"])
 
 
+def set_consistency_bound(n: int) -> float:
+    """Bound n·2^-50 on set consistency's rounding, |KU - expected|, on n elements,
+    with u = 2^-53 (Higham 2002, ch. 4): a member of A has the term 1 (0 if |A| = 1);
+    any other element's Pl is its degree p, and its term 1 - sqrt((p - 1)^2) rounds
+    four times on values at most 1, so lies within 4u of p; KU's fsum, the degrees'
+    fsum and |A| + that fsum round by at most u·n each: 7u·n < 8u·n in all."""
+    return n * 2.0 ** -50
+
+
 def check_set_consistency(frame: Frame) -> CheckReport:
-    """Theorem: D(A) = 1 with A ⊆ Θ gives KU = |A| + Σ degrees to Θ \\ A.
+    """Theorem: D(A) = 1 with A ⊆ Θ gives KU = |A| + Σ degrees to Θ \\ A, to rounding.
 
     Holds for |A| >= 2. For singleton A the implemented KU formula yields
     only the degree sum (the |A| term vanishes because the singleton's
@@ -281,7 +285,7 @@ def check_set_consistency(frame: Frame) -> CheckReport:
     and left out of the trial count.
     """
     _check_enumerable(frame)
-    report = CheckReport("set-consistency")
+    report, tol = CheckReport("set-consistency"), set_consistency_bound(frame.size)
     for a in range(1, frame.theta_mask + 1):
         d = DNumber(frame, {a: 1.0})  # complete as made
         size = a.bit_count()
@@ -290,7 +294,7 @@ def check_set_consistency(frame: Frame) -> CheckReport:
                                for i in range(frame.size) if not a >> i & 1)
         report.trials += size > 1  # |A| = 1 is noted, not counted
         context = {"expected": size + degree_sum if size > 1 else degree_sum}
-        report.check(set_consistency_violation, RANGE_TOL, d, context)
+        report.check(set_consistency_violation, tol, d, context)
         if size == 1 and "observed" in context:
             report.notes.append(
                 f"|A| = 1 deviation: A = {{{', '.join(frame.labels_of(a))}}}: "
@@ -305,12 +309,9 @@ def degeneration_violation(d: DNumber, context: dict) -> float:
     worst = 0.0
     for a in range(1, d.frame.theta_mask + 1):
         labels = frozenset(d.frame.labels_of(a))
-        reference = BeliefInterval(dst.bel_m(masses, labels),
-                                   dst.pl_m(masses, labels))
-        slow = oracle_bel_pl(d, a)
-        for lo, hi in ((bel(d, a), pl(d, a)), (slow.lower, slow.upper)):
-            worst = max(worst, abs(lo - reference.lower),
-                        abs(hi - reference.upper))
+        lower, upper = dst.bel_m(masses, labels), dst.pl_m(masses, labels)
+        for route in (belief_interval(d, a), oracle_bel_pl(d, a)):
+            worst = max(worst, abs(route.lower - lower), abs(route.upper - upper))
     return max(worst, abs(measures.ku(d) - dst_ku_reference(d)))
 
 
@@ -321,8 +322,7 @@ def check_degeneration(trials: int, config: GeneratorConfig) -> CheckReport:
     ``config`` says, so that each one is a classical BPA.
     """
     config = replace(config, completeness="complete", exclusivity="exclusive")
-    return _run_trials("degeneration", trials, config, degeneration_violation,
-                       ORACLE_TOL)
+    return _run_trials("degeneration", trials, config, degeneration_violation, 0.0)
 
 
 def oracle_violation(d: DNumber, context: dict) -> float:

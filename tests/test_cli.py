@@ -342,6 +342,25 @@ def kernel_mutant(keep, x_degrees):
     return singleton_pl
 
 
+def distance_mutant(floor=0.0, one=1.0):
+    """``measures.interval_distance_to_unit`` with its lower clamp at ``floor``
+    and ``hi - one`` in place of ``hi - 1.0``."""
+    def distance(interval):
+        lo = min(max(interval.lower, floor), 1.0)
+        hi = min(max(interval.upper, 0.0), 1.0)
+        return math.sqrt(lo * lo + (hi - one) * (hi - one))
+    return distance
+
+
+def ku_term_mutant(one=1.0):
+    """``measures.singleton_terms`` with the KU term ``one - distance``."""
+    def singleton_terms(d):
+        intervals = [dn.belief_interval(d, 1 << i) for i in range(d.frame.size)]
+        return [(iv, one - dn.measures.interval_distance_to_unit(iv))
+                for iv in intervals]
+    return singleton_terms
+
+
 def wide_dnumber(seed, n, focal_count, density, x_share=0.0, total=1.0):
     """A fixed wide D number: each pair, X pairs too, stored with probability
     ``density`` at a random degree (1 in 10 exactly 1); focal widths 1..n/4,
@@ -484,7 +503,7 @@ class TestCheck:
     @pytest.mark.parametrize("one_bit, code", [
         (lambda d, a: d.masses.get(a, 0.0), 0),  # the branch itself
         (lambda d, a: 0.0, 2),
-        # off by less than ORACLE_TOL: the oracle suite checks for equality
+        # off by only 1e-13, about 450 ulp at 1: the oracle suite checks for equality
         pytest.param(lambda d, a: d.masses.get(a, 1e-13), 2, id="off-by-1e-13"),
     ])
     def test_mutated_one_bit_bel_fails_oracle(self, one_bit, code, capsys,
@@ -495,17 +514,37 @@ class TestCheck:
         assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
         assert ("FAIL oracle" if code else "PASS oracle") in capsys.readouterr().out
 
+    @pytest.mark.parametrize("frame_size", ["3", "6"])
+    @pytest.mark.parametrize("name, mutant, code", [
+        ("interval_distance_to_unit", distance_mutant(), 0),  # the function itself
+        ("singleton_terms", ku_term_mutant(), 0),  # the function itself
+        # each shifts a KU term by about 1e-13; degeneration checks for equality
+        ("interval_distance_to_unit", distance_mutant(one=1.0000000000001), 2),
+        ("interval_distance_to_unit", distance_mutant(floor=1e-13), 2),
+        ("singleton_terms", ku_term_mutant(one=1.0000000000001), 2),
+    ], ids=["distance", "terms", "hi-minus-one", "lower-clamp", "one-minus-distance"])
+    def test_mutated_ku_arithmetic_fails_degeneration(self, name, mutant, code, frame_size,
+                                                      capsys, monkeypatch):
+        monkeypatch.setattr(dn.measures, name, mutant)
+        assert cli.main(["check", "degeneration", "--trials", "150", "--seed", "1",
+                         "--frame-size", frame_size]) == code
+        out = capsys.readouterr().out
+        assert ("FAIL degeneration" if code else "PASS degeneration") in out
+
     def test_counterexamples_fail_their_violation_again(self, capsys, monkeypatch,
                                                         tmp_path):
         monkeypatch.setattr(DNumber, "singleton_pl", property(kernel_mutant(min, True)))
         assert cli.main(["check", "all", "--trials", "20", "--seed", "7",
                          "--counterexample-dir", str(tmp_path)]) == 2
-        suites = {"range": (oracle.range_violation, oracle.RANGE_TOL),
-                  "monotonicity": (oracle.monotonicity_violation, oracle.RANGE_TOL),
-                  "set-consistency": (oracle.set_consistency_violation,
-                                      oracle.RANGE_TOL),
-                  "degeneration": (oracle.degeneration_violation, oracle.ORACLE_TOL),
-                  "oracle": (oracle.oracle_violation, 0.0)}
+        # each suite's tolerance, from where the suite reads it, for d
+        suites = {"range": (oracle.range_violation, lambda d: core.MASS_TOL),
+                  "monotonicity": (oracle.monotonicity_violation,
+                                   lambda d: core.MASS_TOL),
+                  "set-consistency": (
+                      oracle.set_consistency_violation,
+                      lambda d: oracle.set_consistency_bound(d.frame.size)),
+                  "degeneration": (oracle.degeneration_violation, lambda d: 0.0),
+                  "oracle": (oracle.oracle_violation, lambda d: 0.0)}
         paths = sorted(tmp_path.glob("*.json"))
         assert paths
         for path in paths:
@@ -514,7 +553,7 @@ class TestCheck:
             if "pair" in context:
                 _, context["pair"] = dn.parse_document(json.dumps(context["pair"]))
             violation, tol = suites[path.name.rsplit("-", 1)[0]]
-            assert violation(d, context) > tol, path.name
+            assert violation(d, context) > tol(d), path.name
 
     def test_monotonicity_counterexamples_redraw_from_their_trial(
             self, capsys, monkeypatch, tmp_path):

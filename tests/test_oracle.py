@@ -46,8 +46,7 @@ class TestOracleBelPl:
         for a in range(1, f.full_mask + 1):
             fast = dn.belief_interval(d, a)
             slow = oracle.oracle_bel_pl(d, a)
-            assert abs(fast.lower - slow.lower) <= oracle.ORACLE_TOL
-            assert abs(fast.upper - slow.upper) <= oracle.ORACLE_TOL
+            assert fast == slow
 
     @pytest.mark.parametrize("a", [-1, -2, -(1 << 3), 1 << 3, 1 << 5, 0b1011])
     def test_mask_outside_the_frame_raises(self, a):
