@@ -11,19 +11,6 @@ import math
 from .core import DNumber
 
 
-def is_bpa(d: DNumber) -> bool:
-    """True iff ``d`` is a classical basic probability assignment.
-
-    Requires completed input with no mass touching X and a fully
-    exclusive frame.
-    """
-    if not d.completed:
-        return False
-    if any(m & d.frame.x_mask for m in d.masses):
-        return False
-    return not d.frame.degrees
-
-
 def bel_m(masses: dict[frozenset, float], a: frozenset) -> float:
     """Classical belief: sum of m(B) over B ⊆ A."""
     return math.fsum([v for b, v in masses.items() if b <= a])
@@ -35,7 +22,9 @@ def pl_m(masses: dict[frozenset, float], a: frozenset) -> float:
 
 
 def mass_function(d: DNumber) -> dict[frozenset, float]:
-    """Extract the classical mass function of a D number that is a BPA."""
-    if not is_bpa(d):
+    """The classical mass function of ``d``; ``ValueError`` unless ``d`` is a
+    classical BPA: completed, no mass touching X, and a fully exclusive frame."""
+    if (not d.completed or d.frame.degrees
+            or any(m & d.frame.x_mask for m in d.masses)):
         raise ValueError("not a classical BPA")
     return {frozenset(d.frame.labels_of(m)): v for m, v in d.masses.items()}

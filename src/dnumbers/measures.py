@@ -66,8 +66,12 @@ def evaluate_unknown(model: UnknownModel, coefficient: float,
     if cardinality is None:
         raise ValueError(f"model {model.value!r} needs a known cardinality for X")
     if model is UnknownModel.CARDINALITY:
-        return coefficient * cardinality
-    return coefficient * math.log2(cardinality)
+        value = coefficient * cardinality
+    else:
+        value = coefficient * math.log2(cardinality)
+    if math.isinf(value):  # Pl(X) may pass 1 by MASS_TOL at the largest |X|
+        raise ValueError(f"model {model.value!r} evaluates UU beyond float range")
+    return value
 
 
 def total_uncertainty(d: DNumber,

@@ -185,22 +185,6 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
     return BeliefInterval(lower, upper)
 
 
-def dst_ku_reference(bpa: DNumber) -> float:
-    """KU recomputed through the classical DST layer.
-
-    Independent re-derivation path for degeneration checks; only valid for
-    a classical BPA. Bel and Pl are clamped to [0, 1], as KU's distance is.
-    """
-    masses = dst.mass_function(bpa)
-    terms = []
-    for label in bpa.frame.elements:
-        singleton = frozenset((label,))
-        lo = min(max(dst.bel_m(masses, singleton), 0.0), 1.0)
-        hi = min(max(dst.pl_m(masses, singleton), 0.0), 1.0)
-        terms.append(1.0 - math.sqrt(lo * lo + (hi - 1.0) * (hi - 1.0)))
-    return math.fsum(terms)
-
-
 def _run_trials(name, trials, config, violation, tol, draw_context=None) -> CheckReport:
     """Check ``violation`` on trial t's :func:`generate` instance d, drawn from
     ``trial_rng(config.seed, t)``, in the context ``{"trial": t}`` and what
@@ -304,15 +288,20 @@ def check_set_consistency(frame: Frame) -> CheckReport:
 
 
 def degeneration_violation(d: DNumber, context: dict) -> float:
-    """Largest gap between the core, oracle and DST Bel, Pl and KU on Θ's subsets."""
+    """Largest gap between the core, oracle and DST Bel and Pl on Θ's subsets, and
+    between KU and its classical reference, taken from the same DST pass: each
+    singleton's Bel and Pl clamped to [0, 1], as KU's distance is, in frame order."""
     masses = dst.mass_function(d)
-    worst = 0.0
+    worst, terms = 0.0, []
     for a in range(1, d.frame.theta_mask + 1):
         labels = frozenset(d.frame.labels_of(a))
         lower, upper = dst.bel_m(masses, labels), dst.pl_m(masses, labels)
         for route in (belief_interval(d, a), oracle_bel_pl(d, a)):
             worst = max(worst, abs(route.lower - lower), abs(route.upper - upper))
-    return max(worst, abs(measures.ku(d) - dst_ku_reference(d)))
+        if not a & (a - 1):  # a singleton; they come in frame order
+            lo, hi = min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0)
+            terms.append(1.0 - math.sqrt(lo * lo + (hi - 1.0) * (hi - 1.0)))
+    return max(worst, abs(measures.ku(d) - math.fsum(terms)))
 
 
 def check_degeneration(trials: int, config: GeneratorConfig) -> CheckReport:

@@ -753,6 +753,17 @@ class TestUsage:
                          "--unknown-model", "log2"]) == 3
         assert "cardinality" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    def test_uu_beyond_float_range_exits_3(self, doc_path, capsys, fmt):
+        # Pl({X}) passes 1 by less than MASS_TOL at the largest cardinality
+        path = doc_path({"frame": ["a"], "unknown": {"cardinality": int(sys.float_info.max)},
+                         "masses": [{"set": ["a", "X"], "mass": 1.0000000005}]})
+        assert cli.main(["measure", path, "--unknown-model", "cardinality",
+                         "--output", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'cardinality'" in captured.err and "float range" in captured.err
+
     def test_all_subsets_beyond_cap_exits_3(self, doc_path, capsys):
         path = doc_path({"frame": list("abcdefg"),
                          "masses": [{"set": ["a"], "mass": 1}]})

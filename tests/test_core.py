@@ -811,22 +811,28 @@ class TestBeliefInterval:
 
 
 class TestIsBpa:
+    """``dst.mass_function`` takes a classical BPA and rejects anything else."""
+
     def test_vacuous_exclusive(self):
         f = exclusive("ab")
-        assert dst.is_bpa(dn.build_dnumber(f, [(f.theta_mask, 1.0)]))
+        masses = dst.mass_function(dn.build_dnumber(f, [(f.theta_mask, 1.0)]))
+        assert masses == {frozenset("ab"): 1.0}
 
     def test_mass_on_x(self):
         f = exclusive("ab")
         d = dn.complete(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
-        assert not dst.is_bpa(d)
+        with pytest.raises(ValueError, match="not a classical BPA"):
+            dst.mass_function(d)
 
     def test_nonexclusive_frame(self):
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
-        assert not dst.is_bpa(dn.build_dnumber(f, [(f.subset("a"), 1.0)]))
+        with pytest.raises(ValueError, match="not a classical BPA"):
+            dst.mass_function(dn.build_dnumber(f, [(f.subset("a"), 1.0)]))
 
     def test_incomplete(self):
         f = exclusive("ab")
-        assert not dst.is_bpa(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
+        with pytest.raises(ValueError, match="not a classical BPA"):
+            dst.mass_function(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
 
 
 class TestProperties:

@@ -8,6 +8,7 @@ bounded, so they take the same examples every time.
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -98,6 +99,9 @@ def test_parse_any_bytes(data):
 @example({"frame": ["\ud800"], "masses": [{"set": ["\ud800"], "mass": 1}]}, [])
 @example({"frame": ["a"], "unknown": {"cardinality": 10 ** 400},
           "masses": [{"set": ["a"], "mass": 1}]}, ["--unknown-model", "cardinality"])
+@example({"frame": ["a"], "unknown": {"cardinality": int(sys.float_info.max)},
+          "masses": [{"set": ["a", "X"], "mass": 1.0000000005}]},
+         ["--unknown-model", "cardinality", "--output", "json-lines"])
 def test_measure_exits_with_a_documented_code(doc, options):
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -114,6 +118,13 @@ def test_measure_exits_with_a_documented_code(doc, options):
     if code != 0:
         assert out.getvalue() == ""  # no partial output
     out.getvalue().encode("utf-8")  # what reaches stdout must be valid text
+    if "json-lines" in options:
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
 
 
 @st.composite

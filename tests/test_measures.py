@@ -1,10 +1,11 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
 
 import dnumbers as dn
-from dnumbers import dst, oracle
+from dnumbers import dst, measures, oracle
 from dnumbers.measures import UnknownModel, evaluate_unknown
 
 from conftest import completed_dnumbers
@@ -115,25 +116,38 @@ class TestTotalUncertainty:
     def test_evaluate_unknown_coefficient_only(self):
         assert evaluate_unknown(UnknownModel.COEFFICIENT, 0.3, None) is None
 
+    def test_evaluate_unknown_beyond_float_range(self):
+        largest = int(sys.float_info.max)
+        with pytest.raises(ValueError, match="'cardinality'.*float range"):
+            evaluate_unknown(UnknownModel.CARDINALITY, 1.0000000005, largest)
+        assert evaluate_unknown(UnknownModel.CARDINALITY, 1.0, largest) == sys.float_info.max
+
 
 class TestDstReference:
+    """``degeneration_violation`` holds KU to the classical reference it takes
+    from its own DST pass; 0.0 is exact agreement of every route."""
+
     def test_vacuous(self):
         _, d = make("ab", [("ab", 1.0)])
-        assert oracle.dst_ku_reference(d) == pytest.approx(2.0, abs=1e-12)
+        assert oracle.degeneration_violation(d, {}) == 0.0
+        assert dn.ku(d) == pytest.approx(2.0, abs=1e-12)
 
     def test_uniform_bayesian(self):
         _, d = make("ab", [("a", 0.5), ("b", 0.5)])
-        assert oracle.dst_ku_reference(d) == pytest.approx(
-            2 * (1 - math.sqrt(0.5)), abs=1e-12)
+        assert oracle.degeneration_violation(d, {}) == 0.0
+        assert dn.ku(d) == pytest.approx(2 * (1 - math.sqrt(0.5)), abs=1e-12)
 
-    def test_matches_ku(self):
+    def test_matches_ku(self, monkeypatch):
         _, d = make("ab", [("a", 0.3), ("ab", 0.7)])
-        assert oracle.dst_ku_reference(d) == pytest.approx(dn.ku(d), abs=1e-12)
+        assert oracle.degeneration_violation(d, {}) == 0.0
+        ku = measures.ku
+        monkeypatch.setattr(measures, "ku", lambda d: ku(d) + 1e-13)
+        assert oracle.degeneration_violation(d, {}) > 0.0
 
     def test_rejects_non_bpa(self):
         _, d = make("ab", [("a", 0.6)])
         with pytest.raises(ValueError, match="BPA"):
-            oracle.dst_ku_reference(d)
+            oracle.degeneration_violation(d, {})
 
     def test_classical_formulas(self):
         _, d = make("abc", [("a", 0.3), ("ab", 0.5), ("abc", 0.2)])

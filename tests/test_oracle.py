@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import dnumbers as dn
-from dnumbers import oracle
+from dnumbers import dst, oracle
 
 from conftest import completed_dnumbers
 
@@ -180,6 +180,19 @@ class TestCheckers:
             200, oracle.GeneratorConfig(frame_size=4, focal_count=5))
         assert report.ok
         assert report.max_violation <= 1e-12
+
+    def test_degeneration_takes_one_dst_pass(self, monkeypatch):
+        # one mass function per trial, and one Bel and Pl per subset of Θ:
+        # the KU reference reuses the singletons' pair
+        calls = {}
+        for name in ("mass_function", "bel_m", "pl_m"):
+            def counted(*args, _name=name, _func=getattr(dst, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _func(*args)
+            monkeypatch.setattr(dst, name, counted)
+        report = oracle.check_degeneration(100, oracle.GeneratorConfig(frame_size=3, seed=1))
+        assert report.ok
+        assert calls == {"mass_function": 100, "bel_m": 700, "pl_m": 700}
 
     def test_oracle_equivalence_green(self):
         report = oracle.check_oracle_equivalence(
