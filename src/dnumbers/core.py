@@ -147,11 +147,11 @@ class Frame:
     ``elements`` is kept as a tuple of at least one ``str`` label, each
     passing the seven rules of :func:`label_error`, so every frame can be
     written as a document; ``unknown_cardinality`` is ``None`` or
-    passes :func:`is_cardinality`. ``degrees`` is a read-only copy of a map
-    from ``int`` pairs (i, j), 0 <= i < j <= N, to a degree in (0, 1];
-    index N = ``len(elements)`` stands for X, absent pairs default to 0,
-    and anything else (a ``bool`` too) raises ``ValueError``; subclasses of
-    ``tuple`` and ``float`` pass. One pass checks the table.
+    passes :func:`is_cardinality`. ``degrees`` is a read-only copy, without
+    zeros, of a map from ``int`` pairs (i, j), 0 <= i < j <= N, to a degree
+    in [0, 1]: index N = ``len(elements)`` stands for X, and a 0 means an
+    exclusive pair, as an absent pair does. Anything else (a ``bool`` too)
+    raises ``ValueError``; subclasses of ``tuple`` and ``float`` pass.
 
     ``adjacency`` is derived from ``degrees`` on first read and then kept:
     for each index 0..N, X included, a read-only map from neighbour index
@@ -194,10 +194,11 @@ class Frame:
                     and 0 <= key[0] < key[1] <= x):
                 raise ValueError(f"degree key {key!r} is not a pair (i, j) "
                                  f"with 0 <= i < j <= {x}")
-            if not ((type(p) is float or is_number(p)) and 0.0 < p <= 1.0):
-                raise ValueError(f"degree {p!r} for pair {key} outside (0, 1]")
+            if not ((type(p) is float or is_number(p)) and 0.0 <= p <= 1.0):
+                raise ValueError(f"degree {p!r} for pair {key} outside [0, 1]")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "degrees", MappingProxyType(degrees))
+        object.__setattr__(self, "degrees",
+                           MappingProxyType({key: p for key, p in degrees.items() if p}))
 
     @_computed_once  # read by every nonexclusivity call and the kernel
     def adjacency(self) -> tuple[Mapping[int, float], ...]:
@@ -309,7 +310,7 @@ def build_frame(labels, unknown_cardinality=None, degrees=()) -> Frame:
     pair that breaks a :func:`pair_errors` rule, raises the first reason:
     p is not converted, so "0.3" and ``True`` are rejected, and so is a
     pair naming one label twice. The symmetric closure is taken, and
-    zeros are not stored.
+    :class:`Frame` drops the zeros.
     """
     frame = Frame(labels, unknown_cardinality, {})
     index = {label: i for i, label in enumerate(frame.elements)}
@@ -319,7 +320,7 @@ def build_frame(labels, unknown_cardinality=None, degrees=()) -> Frame:
                else (None, None, None) for entry in degrees)
     for _, reason in pair_errors(index, given, entries):
         raise ValueError(reason)
-    return replace(frame, degrees={key: p for key, p in given.items() if p})
+    return replace(frame, degrees=given)
 
 
 @dataclass(frozen=True)
@@ -329,11 +330,11 @@ class DNumber:
     ``masses`` maps ``int`` masks inside the frame to masses, each entry
     passing :func:`mass_error` (checked after the mask is found inside the
     frame) and all totalling at most 1 + :data:`MASS_TOL`; anything else
-    raises ``ValueError``. It is kept as a read-only copy without zeros,
-    in ascending-mask order, from which ``total_mass`` (its fsum) and
-    ``completed`` are derived. A D number is complete when its total is
-    within ``MASS_TOL`` of 1, on either side, so :func:`complete` only ever
-    adds a positive residual. Immutable.
+    raises ``ValueError``. It is kept as a read-only copy of ``float``
+    masses without zeros, in ascending-mask order, from which
+    ``total_mass`` (its fsum) and ``completed`` are derived. A D number is
+    complete when its total is within ``MASS_TOL`` of 1, on either side,
+    so :func:`complete` only ever adds a positive residual. Immutable.
 
     ``singleton_pl`` is derived on first use and then kept: a read-only
     tuple of Pl({i}) for every index 0..N, X last. It is not a field, so
@@ -352,7 +353,7 @@ class DNumber:
                 raise ValueError(f"subset mask {mask!r} is not an int inside the frame")
             if reason := mass_error(mask, mass):
                 raise ValueError(reason)
-        masses = {m: v for m, v in sorted(self.masses.items()) if v > 0.0}
+        masses = {m: float(v) for m, v in sorted(self.masses.items()) if v > 0.0}
         total = math.fsum(masses.values())
         if total > 1.0 + MASS_TOL:
             raise ValueError(f"total mass {total} exceeds 1")
@@ -420,12 +421,12 @@ def build_dnumber(frame: Frame, entries) -> DNumber:
     hide, before the merge: it must unpack to a (mask, mass) pair, its
     mask must be an ``int``, not a ``bool`` (``1.0`` and ``True`` would
     merge into the key ``1``), and its mass must pass :func:`mass_error`.
-    Each raises ``ValueError`` with its reason. Only numbers pass, so
-    only numbers are converted with ``float``: ``True``, ``"0.5"`` and
-    ``10**400`` are rejected. The merged table goes to :class:`DNumber`,
-    which holds every other rule. A table that already holds one
-    ``float`` per mask can go to :class:`DNumber` directly, as
-    ``oracle.generate_raw``'s does.
+    Each raises ``ValueError`` with its reason, so ``True``, ``"0.5"``
+    and ``10**400`` are rejected. The merged table goes to
+    :class:`DNumber`, which holds every other rule and stores each mass
+    as a ``float``. A table that already holds one mass per mask can go
+    to :class:`DNumber` directly, as :func:`complete`'s and
+    ``oracle.generate_raw``'s do.
     """
     merged: dict[int, float] = {}
     for entry in entries:
@@ -437,20 +438,21 @@ def build_dnumber(frame: Frame, entries) -> DNumber:
             raise ValueError(f"subset mask {mask!r} is not an int inside the frame")
         if reason := mass_error(mask, mass):
             raise ValueError(reason)
-        merged[mask] = merged.get(mask, 0.0) + float(mass)
+        merged[mask] = merged.get(mask, 0.0) + mass
     return DNumber(frame, merged)
 
 
 def complete(d: DNumber) -> DNumber:
     """Assign the residual mass 1 - ΣD(B) to the singleton {X}.
 
-    Already-complete inputs are returned unchanged, which makes the
-    operation idempotent.
+    The residual is added to D({X}), if any, in a table that goes to
+    :class:`DNumber` directly. Already-complete inputs are returned
+    unchanged, which makes the operation idempotent.
     """
     if d.completed:
         return d
-    residual = (d.frame.x_mask, 1.0 - d.total_mass)
-    return build_dnumber(d.frame, [*d.masses.items(), residual])
+    x = d.frame.x_mask
+    return DNumber(d.frame, {**d.masses, x: d.masses.get(x, 0.0) + (1.0 - d.total_mass)})
 
 
 def _query_error(d: DNumber, a: int) -> ValueError:
@@ -471,7 +473,7 @@ def bel(d: DNumber, a: int) -> float:
     if not d.completed or a & ~d.frame.full_mask:
         raise _query_error(d, a)
     if a & (a - 1) == 0:  # one bit, or the empty set, which holds no mass
-        return float(d.masses.get(a, 0.0))
+        return d.masses.get(a, 0.0)
     return math.fsum([v for m, v in d.masses.items() if m & ~a == 0])
 
 

@@ -83,8 +83,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     over the set's labels. They test exact types (``type(x) is str``),
     which is exact for ``json.loads`` output, and format an entry's
     location only when the entry fails. A valid document then becomes a
-    :class:`Frame` made straight from the nonzero degrees, whose
-    adjacency rows are left for the first read, and a :class:`DNumber`
+    :class:`Frame` made straight from the degrees, which drops the zeros
+    and leaves the adjacency rows for the first read, and a :class:`DNumber`
     made by :func:`build_dnumber` from the masks; :func:`build_frame` is
     not on this path.
     """
@@ -167,8 +167,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         raise DocumentError(errors)
 
     try:
-        frame = Frame(labels, cardinality,
-                      {pair: p for pair, p in degrees.items() if p})
+        frame = Frame(labels, cardinality, degrees)
         d = build_dnumber(frame, masses.items())
     except ValueError as exc:
         raise DocumentError([str(exc)]) from None

@@ -57,31 +57,26 @@ def uu_coefficient(d: DNumber) -> float:
     return pl(d, d.frame.x_mask)
 
 
-def evaluate_unknown(model: UnknownModel, coefficient: float,
-                     cardinality: int | None) -> float | None:
+def total_uncertainty(d: DNumber,
+                      model: UnknownModel | str = UnknownModel.COEFFICIENT,
+                      ) -> TotalUncertainty:
+    """The total uncertainty tuple of a completed D number under ``model``,
+    an :class:`UnknownModel` or its name (another name raises ``ValueError``);
+    the cardinality and log2 models read |X| from ``d.frame``."""
+    model = UnknownModel(model)
+    coeff = uu_coefficient(d)
+    known = ku(d)
     if model is UnknownModel.COEFFICIENT:
-        return None
+        return TotalUncertainty(known, coeff)
     if model is UnknownModel.UNIT:
-        return coefficient
+        return TotalUncertainty(known, coeff, coeff)
+    cardinality = d.frame.unknown_cardinality
     if cardinality is None:
         raise ValueError(f"model {model.value!r} needs a known cardinality for X")
     if model is UnknownModel.CARDINALITY:
-        value = coefficient * cardinality
+        value = coeff * cardinality
     else:
-        value = coefficient * math.log2(cardinality)
+        value = coeff * math.log2(cardinality)
     if math.isinf(value):  # Pl(X) may pass 1 by MASS_TOL at the largest |X|
         raise ValueError(f"model {model.value!r} evaluates UU beyond float range")
-    return value
-
-
-def total_uncertainty(d: DNumber,
-                      model: UnknownModel = UnknownModel.COEFFICIENT,
-                      ) -> TotalUncertainty:
-    """The total uncertainty tuple of a completed D number."""
-    coeff = uu_coefficient(d)
-    return TotalUncertainty(
-        ku=ku(d),
-        uu_coefficient=coeff,
-        uu_evaluated=evaluate_unknown(model, coeff, d.frame.unknown_cardinality),
-    )
-
+    return TotalUncertainty(known, coeff, value)

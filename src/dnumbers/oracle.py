@@ -119,7 +119,7 @@ def generate_raw(config: GeneratorConfig, rng: random.Random | None = None) -> D
 
     The frame is built as a :class:`Frame` straight from its index pairs:
     with random degrees, each pair (i, j), i < j <= N, X included, draws
-    one degree in turn, and a draw of exactly 0 is not stored. The focal
+    one degree in turn, which :class:`Frame` drops if 0. The focal
     masks are distinct draws, so they make the :class:`DNumber` as drawn.
     """
     if rng is None:
@@ -127,8 +127,8 @@ def generate_raw(config: GeneratorConfig, rng: random.Random | None = None) -> D
     n = config.frame_size
     degrees = {}
     if config.exclusivity == "random-degrees":
-        degrees = {(i, j): p for i in range(n + 1) for j in range(i + 1, n + 1)
-                   if (p := rng.random())}
+        degrees = {(i, j): rng.random()
+                   for i in range(n + 1) for j in range(i + 1, n + 1)}
     frame = Frame(tuple(string.ascii_lowercase[:n]), 2, degrees)
 
     focal = rng.sample(range(1, 2 ** n), config.focal_count)

@@ -27,7 +27,7 @@ class TestBuildFrame:
     @pytest.mark.parametrize("degrees", [
         {(5, 9): 0.5}, {(0, 3): 0.5}, {(1, 0): 0.5}, {(0, 0): 0.5},
         {(-1, 1): 0.5}, {(0, 1, 2): 0.5}, {"ab": 0.5}, {(0.0, 1): 0.5},
-        {(0, 1): 0.0}, {(0, 1): -0.5}, {(0, 1): 1.5}, {(0, 1): math.nan},
+        {(0, 1): -5e-324}, {(0, 1): -0.5}, {(0, 1): 1.5}, {(0, 1): math.nan},
         {(0, 1): "0.5"}, {(False, True): 0.5}, {(0, True): 0.5}, {(0, 1): True}])
     def test_malformed_degree_table(self, degrees):
         with pytest.raises(ValueError, match="degree"):
@@ -36,6 +36,13 @@ class TestBuildFrame:
     def test_degree_table_bounds_accepted(self):
         f = dn.Frame(("a", "b"), 2, {(0, 2): 1.0, (1, 2): 1e-300})
         assert f.nonexclusivity(f.subset("ab"), f.x_mask) == f.lookup(0, 2) == 1.0
+
+    def test_zero_degree_dropped(self):
+        # a 0 is exclusive, as an absent pair is: the table keeps neither
+        f = dn.Frame(("a", "b"), 2, {(0, 1): 0.0, (0, 2): 0.5, (1, 2): -0.0})
+        assert f == dn.Frame(("a", "b"), 2, {(0, 2): 0.5})
+        assert dict(f.degrees) == {(0, 2): 0.5}
+        assert all(0.0 not in row.values() for row in f.adjacency)
 
     def test_default_degrees_are_zero(self):
         f = exclusive("ab")
@@ -499,6 +506,17 @@ class TestDNumberInvariants:
         with pytest.raises(ValueError, match="completed"):
             dn.bel(raw, 1)
 
+    def test_masses_stored_as_floats(self):
+        class Mass(float):
+            pass
+
+        f = exclusive("ab")
+        d = dn.DNumber(f, {f.subset("a"): 1, f.subset("b"): Mass(0.0), f.x_mask: 0})
+        assert [type(v) for v in d.masses.values()] == [float]
+        d = dn.DNumber(f, {f.subset("a"): Mass(0.25), f.subset("b"): 0.75})
+        assert [type(v) for v in d.masses.values()] == [float, float]
+        assert '"mass": 1.0\n' in dn.serialize_document(dn.DNumber(f, {f.subset("a"): 1}))
+
     def test_direct_table_is_canonical(self):
         f = exclusive("ab")
         d = dn.DNumber(f, {f.x_mask: 0.5, f.subset("b"): 0.0, f.subset("a"): 0.5})
@@ -581,6 +599,19 @@ class TestComplete:
         f = exclusive("ab")
         d = dn.complete(dn.build_dnumber(f, [(f.subset("a"), 0.6)]))
         assert d.masses == {f.subset("a"): 0.6, f.x_mask: pytest.approx(0.4)}
+
+    def test_builds_its_dnumber_directly(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("complete went through build_dnumber")
+
+        f = exclusive("ab")
+        masses = {f.subset("a"): 0.1, f.subset("b"): 0.2, f.x_mask: 0.3}
+        d = dn.DNumber(f, masses)
+        monkeypatch.setattr(dn.core, "build_dnumber", refuse)
+        done = dn.complete(d)
+        assert done.completed and len(done.masses) == 3
+        assert done.masses[f.subset("a")] == 0.1 and done.masses[f.subset("b")] == 0.2
+        assert done.masses[f.x_mask].hex() == (0.3 + (1.0 - d.total_mass)).hex()
 
     def test_complete_input_unchanged(self):
         f = exclusive("ab")

@@ -6,7 +6,7 @@ from hypothesis import given
 
 import dnumbers as dn
 from dnumbers import dst, measures, oracle
-from dnumbers.measures import UnknownModel, evaluate_unknown
+from dnumbers.measures import UnknownModel
 
 from conftest import completed_dnumbers
 
@@ -114,13 +114,31 @@ class TestTotalUncertainty:
             dn.total_uncertainty(d, UnknownModel.CARDINALITY)
 
     def test_evaluate_unknown_coefficient_only(self):
-        assert evaluate_unknown(UnknownModel.COEFFICIENT, 0.3, None) is None
+        _, d = make("ab", [("a", 0.7)], cardinality=None)
+        tu = dn.total_uncertainty(d, UnknownModel.COEFFICIENT)
+        assert tu.uu_evaluated is None and tu.uu_coefficient == pytest.approx(0.3)
 
     def test_evaluate_unknown_beyond_float_range(self):
-        largest = int(sys.float_info.max)
+        # Pl({X}) may pass 1 by MASS_TOL, and |X| is the largest cardinality
+        frame = dn.build_frame(["a"], int(sys.float_info.max))
+        ax = frame.subset(["a", "X"])
+        over = dn.DNumber(frame, {ax: 1.0000000005})
         with pytest.raises(ValueError, match="'cardinality'.*float range"):
-            evaluate_unknown(UnknownModel.CARDINALITY, 1.0000000005, largest)
-        assert evaluate_unknown(UnknownModel.CARDINALITY, 1.0, largest) == sys.float_info.max
+            dn.total_uncertainty(over, UnknownModel.CARDINALITY)
+        exact = dn.DNumber(frame, {ax: 1.0})
+        tu = dn.total_uncertainty(exact, UnknownModel.CARDINALITY)
+        assert tu.uu_evaluated == sys.float_info.max
+
+    def test_model_by_name(self):
+        _, d = make("ab", [("a", 0.6)], cardinality=4)
+        assert dn.total_uncertainty(d, "cardinality").uu_evaluated == pytest.approx(1.6)
+        for model in UnknownModel:
+            assert dn.total_uncertainty(d, model.value) == dn.total_uncertainty(d, model)
+
+    def test_unknown_model_name_rejected(self):
+        _, d = make("ab", [("a", 0.6)], cardinality=4)
+        with pytest.raises(ValueError, match="'bogus'"):
+            dn.total_uncertainty(d, "bogus")
 
 
 class TestDstReference:
