@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 validation failure, 2 property failure,
 3 I/O or usage error, 141 (128 + SIGPIPE) stdout closed by its reader.
+A call builds the subparser of the command it names and of no other.
 """
 
 from __future__ import annotations
@@ -37,45 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dnumbers",
-                     description="D number validation, uncertainty measures, "
-                                 "instance generation, and property suites.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[], help="validate a document")
+def _validate_arguments(p):
     p.add_argument("path")
-
-    p = sub.add_parser("measure", help="compute belief intervals and uncertainty")
-    p.add_argument("path")
-    p.add_argument("--unknown-model", default="coefficient",
-                   choices=[m.value for m in UnknownModel])
-    p.add_argument("--output", default="table", choices=["table", "csv", "json-lines"])
-    p.add_argument("--subsets", default="singletons", choices=["singletons", "all"])
-
-    p = sub.add_parser("check", help="run property suites")
-    p.add_argument("suite", choices=[*SUITES, "all"])
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frame-size", type=int, default=3)
-    p.add_argument("--counterexample-dir", default=None)
-
-    p = sub.add_parser("gen", help="generate a random document")
-    p.add_argument("--frame-size", type=int, default=3)
-    p.add_argument("--focal-count", type=int, default=None)  # see GeneratorConfig
-    p.add_argument("--completeness", default="random",
-                   choices=["complete", "incomplete", "random"])
-    p.add_argument("--exclusivity", default="random-degrees",
-                   choices=["exclusive", "random-degrees"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    return parser
 
 
 def cmd_validate(args) -> int:
     parse_document(Path(args.path).read_bytes())
     print("ok")
     return EXIT_OK
+
+
+def _measure_arguments(p):
+    p.add_argument("path")
+    p.add_argument("--unknown-model", default="coefficient",
+                   choices=[m.value for m in UnknownModel])
+    p.add_argument("--output", default="table", choices=["table", "csv", "json-lines"])
+    p.add_argument("--subsets", default="singletons", choices=["singletons", "all"])
 
 
 def cmd_measure(args) -> int:
@@ -129,14 +107,12 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(oracle, name: str, trials: int, config):
-    # looks each suite up on the oracle module at call time, so wrappers
-    # patched onto that module apply
-    check = getattr(oracle, SUITES[name])
-    if name == "set-consistency":
-        # seeded random degree matrix exercises the non-exclusive terms
-        return check(oracle.generate_raw(config).frame)
-    return check(trials, config)
+def _check_arguments(p):
+    p.add_argument("suite", choices=[*SUITES, "all"])
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--frame-size", type=int, default=3)
+    p.add_argument("--counterexample-dir", default=None)
 
 
 def cmd_check(args) -> int:
@@ -147,7 +123,11 @@ def cmd_check(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     failed = False
     for name in suites:
-        report = _run_suite(oracle, name, args.trials, config)
+        # looked up on the oracle module at call time, so wrappers patched onto
+        # it apply; a seeded random degree matrix exercises the non-exclusive terms
+        check = getattr(oracle, SUITES[name])
+        report = (check(oracle.generate_raw(config).frame) if name == "set-consistency"
+                  else check(args.trials, config))
         status = "PASS" if report.ok else "FAIL"
         print(f"{status} {report.name}: trials={report.trials} "
               f"failures={len(report.failures)} "
@@ -166,6 +146,17 @@ def cmd_check(args) -> int:
     return EXIT_PROPERTY if failed else EXIT_OK
 
 
+def _gen_arguments(p):
+    p.add_argument("--frame-size", type=int, default=3)
+    p.add_argument("--focal-count", type=int, default=None)  # see GeneratorConfig
+    p.add_argument("--completeness", default="random",
+                   choices=["complete", "incomplete", "random"])
+    p.add_argument("--exclusivity", default="random-degrees",
+                   choices=["exclusive", "random-degrees"])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
 def cmd_gen(args) -> int:
     from . import oracle
     config = oracle.GeneratorConfig(frame_size=args.frame_size,
@@ -181,13 +172,36 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+#: Each command's help text, the function that adds its arguments, and its handler
+COMMANDS = {"validate": ("validate a document", _validate_arguments, cmd_validate),
+            "measure": ("compute belief intervals and uncertainty", _measure_arguments,
+                        cmd_measure),
+            "check": ("run property suites", _check_arguments, cmd_check),
+            "gen": ("generate a random document", _gen_arguments, cmd_gen)}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only its command's subparser if argv[0] names one."""
+    parser = _Parser(prog="dnumbers",
+                     description="D number validation, uncertainty measures, "
+                                 "instance generation, and property suites.")
+    one = bool(argv) and argv[0] in COMMANDS
+    # built alone, a command would drop the others from the root usage; with
+    # all four, a metavar would rename "argument command" in argparse's errors
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in argv[:1] if one else COMMANDS:
+        help_text, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv=None) -> int:
     """Run one command; the only place its errors become exit codes."""
-    args = build_parser().parse_args(argv)
-    handler = {"validate": cmd_validate, "measure": cmd_measure,
-               "check": cmd_check, "gen": cmd_gen}[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        code = handler(args)
+        code = COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed stdout raises here at the latest
         return code
     except BrokenPipeError:

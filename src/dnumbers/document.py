@@ -155,7 +155,7 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         elif (error := mass_error(mask, mass)) is None and mask in masses:
             error = f"duplicate entry for set {sorted(subset)}"
         if error is None:
-            masses[mask] = float(mass)
+            masses[mask] = mass
         else:
             errors.append(f"masses[{k}]: {error}")
 

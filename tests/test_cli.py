@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -771,3 +772,68 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--subsets all" in captured.err
+
+
+#: argv shapes that end in help or a usage error; "{path}" stands for a document
+USAGE_ARGVS = [[], ["-h"], ["bogus"], ["-x", "measure"],
+               *([command, "-h"] for command in ("validate", "measure", "check", "gen")),
+               ["measure", "{path}", "--bogus"], ["check", "everything"],
+               ["measure", "{path}", "--output", "yaml"]]
+
+
+def _exit_outcome(parse, argv, capsys):
+    """The exit code, stdout and stderr of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    return (err.value.code, *capsys.readouterr())
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", USAGE_ARGVS,
+                             ids=lambda argv: " ".join(argv) or "none")
+    def test_help_and_usage_match_the_parser_with_every_command(
+            self, argv, doc_path, capsys):
+        argv = [doc_path(VACUOUS) if arg == "{path}" else arg for arg in argv]
+        expected = _exit_outcome(cli.build_parser().parse_args, argv, capsys)
+        assert _exit_outcome(cli.main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv, error", [
+        (["bogus"], "error: argument command: invalid choice: "),
+        ([], "error: the following arguments are required: command")],
+        ids=["bogus", "none"])
+    def test_no_command_named_keeps_the_argument_name(self, argv, error, capsys):
+        # with every command built, no metavar stands in for "command"
+        code, _, err = _exit_outcome(cli.main, argv, capsys)
+        assert code == 3 and err.splitlines()[1].startswith(error)
+
+    @pytest.mark.parametrize("argv, parsers", [
+        (["validate", "{path}"], 2), (["measure", "{path}"], 2),
+        (["check", "set-consistency"], 2), (["gen", "--frame-size", "1"], 2),
+        (["-h"], 5), (["bogus"], 5), (None, 2)])
+    def test_only_the_named_command_is_built(self, argv, parsers, doc_path,
+                                             monkeypatch, capsys):
+        # main(None) reads sys.argv, as the installed console script does
+        monkeypatch.setattr(sys, "argv", ["dnumbers", "validate", doc_path(VACUOUS)])
+        if argv is not None:
+            argv = [doc_path(VACUOUS) if arg == "{path}" else arg for arg in argv]
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        # subparsers are made from type(root), so they are counted too
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        with contextlib.suppress(SystemExit):  # -h and bogus exit while parsing
+            cli.main(argv)
+        assert len(built) == parsers
+
+    def test_console_argv_keeps_every_command_in_the_usage(self, doc_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(dn.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "dnumbers.cli", "measure",
+                              doc_path(VACUOUS), "--bogus"],
+                             capture_output=True, encoding="utf-8", env=env, timeout=60)
+        assert run.returncode == 3
+        assert run.stderr.splitlines()[0] == (
+            "usage: dnumbers [-h] {validate,measure,check,gen} ...")

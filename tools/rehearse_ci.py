@@ -8,9 +8,10 @@ order, under ``bash -e`` with that step's ``env``, on this machine's
 Python. Prints one ok, FAIL or SKIP line per step with its time, and the
 tail of a failing step's output. ``uses:`` steps and ``pip install``
 steps are skipped, and say so; a step that calls the installed
-``dnumbers`` console script calls ``dnumbers.cli.main`` from the clone's
-``src`` instead, and is marked emulated. The matrix rows for other Python
-versions are listed as unverified. Exits 1 if any step fails.
+``dnumbers`` console script calls ``dnumbers.cli.main()`` from the clone's
+``src`` instead, with no argv as pip's entry point does, and is marked
+emulated. The matrix rows for other Python versions are listed as
+unverified. Exits 1 if any step fails.
 
 Needs PyYAML to read the workflow; the project does not depend on it, and
 without it the script exits 2 and says so.
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = Path(".github/workflows/tests.yml")
 #: stands in for the console script that ``pip install .`` would put on PATH
 CONSOLE_SCRIPT = ('dnumbers() { python -c "import sys; from dnumbers.cli import main; '
-                  'sys.exit(main(sys.argv[1:]))" "$@"; }\n')
+                  'sys.exit(main())" "$@"; }\n')
 TAIL = 20
 
 
