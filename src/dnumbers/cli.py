@@ -63,8 +63,7 @@ def cmd_measure(args) -> int:
                          f"{ENUMERATION_CAP}")
     d = complete(raw)
     injected = 0.0 if raw.completed else 1.0 - raw.total_mass
-    model = UnknownModel(args.unknown_model)
-    tu = total_uncertainty(d, model)
+    tu = total_uncertainty(d, args.unknown_model)
 
     # (name, bel, pl, term): the singletons, then any subsets with no term
     rows = [(label, interval.lower, interval.upper, term)
@@ -102,7 +101,7 @@ def cmd_measure(args) -> int:
         print(f"KU = {tu.ku:.7f}")
         print(f"UU coefficient = {tu.uu_coefficient:.7f}")
         if tu.uu_evaluated is not None:
-            print(f"UU ({model.value}) = {tu.uu_evaluated:.7f}")
+            print(f"UU ({args.unknown_model}) = {tu.uu_evaluated:.7f}")
         print(f"TU = ({tu.ku:.7f}, {tu.uu_coefficient:.7f})")
     return EXIT_OK
 
@@ -116,6 +115,8 @@ def _check_arguments(p):
 
 
 def cmd_check(args) -> int:
+    """Run the named suites; each failure is written, if asked, as
+    ``<suite>-<k>.json`` through :func:`serialize_document`."""
     from . import oracle  # here, not at the top: validate and measure never need it
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -129,7 +130,7 @@ def cmd_check(args) -> int:
         report = (check(oracle.generate_raw(config).frame) if name == "set-consistency"
                   else check(args.trials, config))
         status = "PASS" if report.ok else "FAIL"
-        print(f"{status} {report.name}: trials={report.trials} "
+        print(f"{status} {name}: trials={report.trials} "
               f"failures={len(report.failures)} "
               f"max_violation={report.max_violation:.3e}")
         for note in report.notes:
@@ -139,10 +140,9 @@ def cmd_check(args) -> int:
             if args.counterexample_dir:
                 out = Path(args.counterexample_dir)
                 out.mkdir(parents=True, exist_ok=True)
-                for k, doc in enumerate(report.failures):
-                    path = out / f"{report.name}-{k:04d}.json"
-                    path.write_text(json.dumps(doc, indent=2, ensure_ascii=False)
-                                    + "\n", encoding="utf-8")
+                for k, (d, context) in enumerate(report.failures):
+                    (out / f"{name}-{k:04d}.json").write_text(
+                        serialize_document(d, context), encoding="utf-8")
     return EXIT_PROPERTY if failed else EXIT_OK
 
 

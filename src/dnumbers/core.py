@@ -200,6 +200,13 @@ class Frame:
         object.__setattr__(self, "degrees",
                            MappingProxyType({key: p for key, p in degrees.items() if p}))
 
+    def __hash__(self):
+        return hash((self.elements, self.unknown_cardinality, frozenset(self.degrees.items())))
+
+    def __reduce__(self):
+        """Rebuilt through the constructor, checked again; the rows are not kept."""
+        return Frame, (self.elements, self.unknown_cardinality, dict(self.degrees))
+
     @_computed_once  # read by every nonexclusivity call and the kernel
     def adjacency(self) -> tuple[Mapping[int, float], ...]:
         """Each index's row, 0..N, X last: neighbour -> degree, strongest-first."""
@@ -360,6 +367,13 @@ class DNumber:
         object.__setattr__(self, "masses", MappingProxyType(masses))
         object.__setattr__(self, "total_mass", total)
         object.__setattr__(self, "completed", 1.0 - total <= MASS_TOL)
+
+    def __hash__(self):
+        return hash((self.frame, frozenset(self.masses.items())))
+
+    def __reduce__(self):
+        """Rebuilt through the constructor, checked again; ``singleton_pl`` is not kept."""
+        return DNumber, (self.frame, dict(self.masses))
 
     @_computed_once
     def singleton_pl(self) -> tuple[float, ...]:

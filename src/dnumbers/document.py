@@ -239,12 +239,17 @@ def document_dict(d: DNumber) -> dict:
     return doc
 
 
-def serialize_document(d: DNumber) -> str:
-    """Canonical UTF-8 JSON text of ``d`` on its frame, ``d.frame``; one
-    D number always gives the same bytes.
+def serialize_document(d: DNumber, check: dict | None = None) -> str:
+    """Canonical UTF-8 JSON text of ``d`` on its frame, ``d.frame``, with
+    ``check``, if given, last under the root key ``check``, each D number in it
+    as its document; the same values always give the same bytes.
 
     Every D number serializes, and the text parses back to ``(d.frame, d)``:
     ``Frame`` and :class:`DNumber` hold the label and mass rules
     :func:`parse_document` holds.
     """
-    return json.dumps(document_dict(d), indent=2, ensure_ascii=False) + "\n"
+    doc = document_dict(d)
+    if check is not None:
+        doc["check"] = {key: document_dict(value) if isinstance(value, DNumber)
+                        else value for key, value in check.items()}
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -6,7 +6,7 @@ checked against an independent path. Each property suite is a draw and a
 violation function ``violation(d, context) -> float``, which can be
 called on any instance. One trial loop draws for every suite but set
 consistency, which enumerates its instances, and every suite records
-through :meth:`CheckReport.check`.
+through :meth:`CheckReport.check`, which keeps a failure as ``(d, context)``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .core import (
     build_dnumber,
     complete,
 )
-from .document import document_dict
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,12 @@ class GeneratorConfig:
 class CheckReport:
     """Outcome of a property run over generated or enumerated instances.
 
-    A suite draws each instance with a context and hands both, with its
-    violation function, to :meth:`check`, the one way into the report.
+    A suite hands each instance d with its context and violation function to
+    :meth:`check`, which keeps each failing ``(d, context)`` in ``failures``.
     """
 
-    name: str
     trials: int = 0
-    failures: list[dict] = field(default_factory=list)
+    failures: list[tuple[DNumber, dict]] = field(default_factory=list)
     max_violation: float = 0.0
     notes: list[str] = field(default_factory=list)
 
@@ -85,9 +83,8 @@ class CheckReport:
         the report; a ``ValueError`` it raises is an unbounded violation, its
         message ``error``.
 
-        Only a violation above ``tol`` builds a counterexample: the document
-        of ``d`` with ``context`` under its ``check`` key, where a D number
-        becomes its document.
+        A violation above ``tol`` appends the pair ``(d, context)`` to
+        ``failures``, as values: nothing is copied or serialized.
         """
         try:
             violation = violation(d, context)
@@ -95,10 +92,7 @@ class CheckReport:
             violation, context["error"] = math.inf, str(exc)
         self.max_violation = max(self.max_violation, violation)
         if violation > tol:
-            doc = document_dict(d)
-            doc["check"] = {key: document_dict(value) if isinstance(value, DNumber)
-                            else value for key, value in context.items()}
-            self.failures.append(doc)
+            self.failures.append((d, context))
 
 
 def iter_indices(mask: int):
@@ -185,11 +179,11 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
     return BeliefInterval(lower, upper)
 
 
-def _run_trials(name, trials, config, violation, tol, draw_context=None) -> CheckReport:
+def _run_trials(trials, config, violation, tol, draw_context=None) -> CheckReport:
     """Check ``violation`` on trial t's :func:`generate` instance d, drawn from
     ``trial_rng(config.seed, t)``, in the context ``{"trial": t}`` and what
-    ``draw_context(d, rng)`` draws next from that RNG."""
-    report = CheckReport(name, trials)
+    ``draw_context(d, rng)`` draws next from that RNG; failures in trial order."""
+    report = CheckReport(trials)
     for t in range(trials):
         rng = trial_rng(config.seed, t)
         d = generate(config, rng)
@@ -209,7 +203,7 @@ def range_violation(d: DNumber, context: dict) -> float:
 
 def check_range(trials: int, config: GeneratorConfig) -> CheckReport:
     """Theorem: 0 <= KU <= N and 0 <= UU <= 1, to ``MASS_TOL``: UU is at most the total."""
-    return _run_trials("range", trials, config, range_violation, MASS_TOL)
+    return _run_trials(trials, config, range_violation, MASS_TOL)
 
 
 def _mix_with_vacuous(d: DNumber, weight: float) -> DNumber:
@@ -241,7 +235,7 @@ def check_monotonicity(trials: int, config: GeneratorConfig) -> CheckReport:
     drops by the factor 1 - w and Pl gains w(1 - Pl) >= -w·``MASS_TOL``. A shortfall
     beyond ``MASS_TOL`` counts toward the pair's violation, as KU or UU falling does.
     """
-    return _run_trials("monotonicity", trials, config, monotonicity_violation, MASS_TOL,
+    return _run_trials(trials, config, monotonicity_violation, MASS_TOL,
                        lambda d, rng: {"pair": _mix_with_vacuous(d, rng.random())})
 
 
@@ -269,7 +263,7 @@ def check_set_consistency(frame: Frame) -> CheckReport:
     and left out of the trial count.
     """
     _check_enumerable(frame)
-    report, tol = CheckReport("set-consistency"), set_consistency_bound(frame.size)
+    report, tol = CheckReport(), set_consistency_bound(frame.size)
     for a in range(1, frame.theta_mask + 1):
         d = DNumber(frame, {a: 1.0})  # complete as made
         size = a.bit_count()
@@ -311,7 +305,7 @@ def check_degeneration(trials: int, config: GeneratorConfig) -> CheckReport:
     ``config`` says, so that each one is a classical BPA.
     """
     config = replace(config, completeness="complete", exclusivity="exclusive")
-    return _run_trials("degeneration", trials, config, degeneration_violation, 0.0)
+    return _run_trials(trials, config, degeneration_violation, 0.0)
 
 
 def oracle_violation(d: DNumber, context: dict) -> float:
@@ -327,4 +321,4 @@ def oracle_violation(d: DNumber, context: dict) -> float:
 def check_oracle_equivalence(trials: int, config: GeneratorConfig) -> CheckReport:
     """Core belief intervals equal the literal-definition oracle, all subsets, exactly:
     both form the same rounded products and sum them with ``math.fsum``."""
-    return _run_trials("oracle", trials, config, oracle_violation, 0.0)
+    return _run_trials(trials, config, oracle_violation, 0.0)

@@ -118,6 +118,73 @@ PASS oracle: trials=100 failures=0 max_violation=0.000e+00
 }
 
 
+# the one file that ``check monotonicity --trials 1 --seed 7 --frame-size 1
+# --counterexample-dir D`` writes when Pl({X}) = 0, D/monotonicity-0000.json
+COUNTEREXAMPLE_GOLDEN = """\
+{
+  "frame": [
+    "a"
+  ],
+  "unknown": {
+    "cardinality": 2,
+    "non_exclusivity": {
+      "a": 0.7014016190307873
+    }
+  },
+  "masses": [
+    {
+      "set": [
+        "a"
+      ],
+      "mass": 0.36347453676683816
+    },
+    {
+      "set": [
+        "X"
+      ],
+      "mass": 0.6365254632331618
+    }
+  ],
+  "check": {
+    "trial": 0,
+    "pair": {
+      "frame": [
+        "a"
+      ],
+      "unknown": {
+        "cardinality": 2,
+        "non_exclusivity": {
+          "a": 0.7014016190307873
+        }
+      },
+      "masses": [
+        {
+          "set": [
+            "a"
+          ],
+          "mass": 0.09848878211503047
+        },
+        {
+          "set": [
+            "X"
+          ],
+          "mass": 0.1724759544827607
+        },
+        {
+          "set": [
+            "a",
+            "X"
+          ],
+          "mass": 0.7290352634022088
+        }
+      ]
+    },
+    "error": "malformed belief interval [0.6365254632331618, 0.0]"
+  }
+}
+"""
+
+
 class TestValidate:
     def test_valid(self, doc_path, capsys):
         assert cli.main(["validate", doc_path(VACUOUS)]) == 0
@@ -322,6 +389,12 @@ class TestMeasure:
         assert summary["ku"] == dn.ku(full)
         assert summary["uu_coefficient"] == full.singleton_pl[n]
         assert summary["completion_mass"] == 1.0 - d.total_mass
+
+
+def x_pl_zero_mutant():
+    """The singleton Pl pass with Pl({X}) = 0, as a ``DNumber.singleton_pl``."""
+    singleton_pl = DNumber.singleton_pl.func
+    return property(lambda d: singleton_pl(d)[:-1] + (0.0,))
 
 
 def kernel_mutant(keep, x_degrees):
@@ -576,9 +649,7 @@ class TestCheck:
                                                    tmp_path):
         # Pl({X}) = 0 puts Pl below Bel wherever X carries mass, so
         # BeliefInterval raises inside the suite
-        singleton_pl = DNumber.singleton_pl.func
-        monkeypatch.setattr(DNumber, "singleton_pl", property(
-            lambda d: singleton_pl(d)[:-1] + (0.0,)))
+        monkeypatch.setattr(DNumber, "singleton_pl", x_pl_zero_mutant())
         code = cli.main(["check", "oracle", "--trials", "20", "--seed", "7",
                          "--counterexample-dir", str(tmp_path / "cx")])
         assert code == 2
@@ -593,6 +664,15 @@ class TestCheck:
         for doc in raised:
             assert doc["check"]["error"].startswith("malformed belief interval")
             dn.parse_document(json.dumps(doc))
+
+    def test_counterexample_file_bytes(self, capsys, monkeypatch, tmp_path):
+        # the text and key order of a written file: trial, pair, then error
+        monkeypatch.setattr(DNumber, "singleton_pl", x_pl_zero_mutant())
+        assert cli.main(["check", "monotonicity", "--trials", "1", "--seed", "7",
+                         "--frame-size", "1", "--counterexample-dir", str(tmp_path)]) == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["monotonicity-0000.json"]
+        text = (tmp_path / "monotonicity-0000.json").read_text(encoding="utf-8")
+        assert text == COUNTEREXAMPLE_GOLDEN
 
     @pytest.mark.parametrize("suite", ["monotonicity", "all"])
     def test_mutated_bel_fails_monotonicity(self, suite, capsys, monkeypatch):

@@ -1,7 +1,9 @@
 import collections
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import sys
 import unicodedata
@@ -28,7 +30,8 @@ class TestBuildFrame:
         {(5, 9): 0.5}, {(0, 3): 0.5}, {(1, 0): 0.5}, {(0, 0): 0.5},
         {(-1, 1): 0.5}, {(0, 1, 2): 0.5}, {"ab": 0.5}, {(0.0, 1): 0.5},
         {(0, 1): -5e-324}, {(0, 1): -0.5}, {(0, 1): 1.5}, {(0, 1): math.nan},
-        {(0, 1): "0.5"}, {(False, True): 0.5}, {(0, True): 0.5}, {(0, 1): True}])
+        {(0, 1): "0.5"}, {(False, True): 0.5}, {(0, True): 0.5}, {(0, 1): True},
+        {(0, 1): math.nextafter(1.0, 2.0)}])
     def test_malformed_degree_table(self, degrees):
         with pytest.raises(ValueError, match="degree"):
             dn.Frame(("a", "b"), 2, degrees)
@@ -448,10 +451,12 @@ class TestMassRule:
             dn.build_dnumber(exclusive("ab"), [(1, mass)])
         assert str(err.value) == mass_error(1, mass)
 
-    @pytest.mark.parametrize("mass", [0, 0.0, 0.5, 1, 1.0, 1.0 + MASS_TOL])
+    @pytest.mark.parametrize("mass", [0, 0.0, 5e-324, 0.5, 1, 1.0, 1.0 + MASS_TOL])
     def test_bounds_accepted(self, mass):
+        # the least positive mass is kept, not dropped as a zero
         assert mass_error(1, mass) is None
         assert dn.build_dnumber(exclusive("ab"), [(1, mass)]).total_mass == mass
+        assert dn.DNumber(exclusive("ab"), {1: mass}).total_mass == mass
 
     def test_empty_set_first(self):
         assert mass_error(0, "0.5") == "mass on empty set: D(∅) must be 0"
@@ -584,6 +589,36 @@ class TestReadOnlyTables:
         f = dn.Frame(("a", "b"), 2, table)
         table[(0, 1)] = 1.0
         assert f.lookup(0, 1) == 0.3
+
+
+class TestValueTypes:
+    def test_equal_values_hash_equal_in_any_table_order(self):
+        f = dn.Frame(("a", "b", "c"), None, {(0, 1): 0.3, (1, 3): 0.5})
+        g = dn.Frame(("a", "b", "c"), None, {(1, 3): 0.5, (0, 2): 0.0, (0, 1): 0.3})
+        assert list(f.degrees) != list(g.degrees)
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        d, e = dn.DNumber(f, {1: 0.25, 6: 0.75}), dn.DNumber(g, {6: 0.75, 1: 0.25})
+        assert d == e and hash(d) == hash(e) and len({d, e}) == 1
+        assert {d: 1}[e] == 1
+
+    @pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)),
+                                            copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_round_trips_give_equal_values(self, round_trip):
+        d = oracle.generate(oracle.GeneratorConfig(frame_size=4, focal_count=6, seed=3))
+        pl = d.singleton_pl  # built first: the copy builds its own
+        copied = round_trip(d)
+        assert copied == d and hash(copied) == hash(d)
+        assert ([(m, v.hex()) for m, v in copied.masses.items()]
+                == [(m, v.hex()) for m, v in d.masses.items()])
+        assert ([(key, p.hex()) for key, p in copied.frame.degrees.items()]
+                == [(key, p.hex()) for key, p in d.frame.degrees.items()])
+        assert "singleton_pl" not in vars(copied) and "adjacency" not in vars(copied.frame)
+        assert copied.singleton_pl == pl
+
+    def test_replace_still_validates(self):
+        f = dn.Frame(("a", "b"), 2, {(0, 1): 0.3})
+        with pytest.raises(ValueError, match="degree 2.0"):
+            dataclasses.replace(f, degrees={(0, 1): 2.0})
 
 
 class TestComplete:

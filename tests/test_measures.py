@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -49,6 +50,14 @@ class TestKu:
     def test_certainty_minimum(self):
         _, d = make("abc", [("a", 1.0)])
         assert dn.ku(d) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("labels, terms", [(["a"], [0.0]), (["a", "b"], [1.0, 1.0])],
+                             ids=["one-element", "two-elements"])
+    def test_bounds_above_one_clamp_to_one(self, labels, terms):
+        # an accepted total of 1 + 1e-9 puts Bel({a}), or Pl of each, above 1
+        doc = {"frame": labels, "masses": [{"set": labels, "mass": 1.000000001}]}
+        _, d = dn.parse_document(json.dumps(doc))
+        assert [term for _, term in measures.singleton_terms(dn.complete(d))] == terms
 
     def test_raw_input_rejected(self):
         frame = dn.build_frame("ab", 2, [])

@@ -1,10 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 
 import dnumbers as dn
-from dnumbers import dst, oracle
+from dnumbers import document, dst, oracle
 
 from conftest import completed_dnumbers
 
@@ -200,28 +201,34 @@ class TestCheckers:
         assert report.ok
 
     def test_counterexamples_serialize(self):
-        report = oracle.CheckReport("demo", trials=1)
+        # a failure is kept as values, and serialize_document writes it
+        report = oracle.CheckReport(trials=1)
         f, d = make("ab", [("a", 0.6)])
         report.check(lambda d, context: 1.0, 1e-9, d, {"trial": 0})
         assert not report.ok
-        assert report.failures[0]["frame"] == ["a", "b"]
+        assert report.failures == [(d, {"trial": 0})]
+        doc = json.loads(dn.serialize_document(*report.failures[0]))
+        assert doc["frame"] == ["a", "b"] and doc["check"] == {"trial": 0}
 
     def test_record_builds_documents_only_for_failures(self, monkeypatch):
+        # no document is built for a failure either: oracle keeps the values
+        # and holds no name from dnumbers.document
+        assert not [name for name, value in vars(oracle).items()
+                    if value is document
+                    or getattr(value, "__module__", None) == document.__name__]
         built = []
-        document_dict = oracle.document_dict
-        monkeypatch.setattr(oracle, "document_dict",
-                            lambda d: built.append(d) or document_dict(d))
+        for name in ("document_dict", "serialize_document"):
+            monkeypatch.setattr(document, name, lambda *args: built.append(args))
         f, d = make("ab", [("a", 0.6)])
         pair = oracle._mix_with_vacuous(d, 0.5)
-        report = oracle.CheckReport("demo", trials=2)
+        report = oracle.CheckReport(trials=2)
         report.check(lambda d, context: 1e-10, 1e-9, d, {"trial": 0, "pair": pair})
-        assert report.ok and built == []
-        assert report.max_violation == 1e-10
+        assert report.ok and report.max_violation == 1e-10
         report.check(lambda d, context: 1.0, 1e-9, d, {"trial": 1, "pair": pair})
         assert not report.ok and report.max_violation == 1.0
-        doc = report.failures[0]
-        assert doc["frame"] == ["a", "b"] and doc["check"]["trial"] == 1
-        assert doc["check"]["pair"] == document_dict(pair)
+        [(failed, context)] = report.failures
+        assert failed is d and context == {"trial": 1, "pair": pair}
+        assert context["pair"] is pair and built == []
 
     def test_degeneration_forces_classical_bpas(self):
         config = oracle.GeneratorConfig(frame_size=3, focal_count=3, seed=2)
