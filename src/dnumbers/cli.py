@@ -197,13 +197,15 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place its errors become exit codes."""
+    """Run one command; the only place any outcome, help too, becomes an exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
     try:
+        args = build_parser(argv).parse_args(argv)
         code = COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed stdout raises here at the latest
         return code
+    except SystemExit as exc:  # argparse's: 0 after help, 3 from _Parser.error
+        return exc.code
     except BrokenPipeError:
         # quiet, as a process killed by SIGPIPE would be; stdout goes to
         # devnull so the flush at exit does not raise again
@@ -214,12 +216,9 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(message, file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # like argparse's usage errors
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ Schema (all names fixed):
       "masses": [{"set": ["a"], "mass": 0.6}]
     }
 
-``unknown`` and ``non_exclusivity`` are optional, and ``unknown`` holds no
-keys but ``cardinality`` and ``non_exclusivity``. The root holds no keys but
-these four and ``check``, under which ``dnumbers check`` writes what a
+``unknown`` and ``non_exclusivity`` are optional, ``unknown`` holds no
+keys but ``cardinality`` and ``non_exclusivity``, and each mass and pair
+entry holds exactly its two keys. The root holds no keys but these four
+and ``check``, under which ``dnumbers check`` writes what a
 counterexample was checked with; nothing under ``check`` is read. Degrees
 involving the unknown element live under ``unknown.non_exclusivity`` as a
 label-to-degree mapping; pairs naming "X" in the top-level list are also
@@ -59,12 +60,13 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     All violations are collected and reported together. One inside an
     entry or field names it (``frame[0]``, ``unknown['size']``,
     ``unknown.non_exclusivity['a']``, ``non_exclusivity[2]``, ``masses[1]``,
-    ``"unknown"``), and an unknown root key is named as a JSON string
-    (``"non_exclusivty"``); a second, different degree for one pair is
-    reported at the later entry. The frame must be a nonempty list of
-    labels, each passing :func:`label_error`, the rules :class:`Frame`
-    holds. ``unknown`` may hold only ``cardinality``, an integer from 2 to
-    ``sys.float_info.max`` (:func:`is_cardinality`), and
+    ``"unknown"``), an unknown key of an entry that has both its fields is
+    named in it (``masses[1]['mas']``), and an unknown root key is named as
+    a JSON string (``"non_exclusivty"``); a second, different degree for
+    one pair is reported at the later entry. The frame must be a nonempty
+    list of labels, each passing :func:`label_error`, the rules
+    :class:`Frame` holds. ``unknown`` may hold only ``cardinality``, an
+    integer from 2 to ``sys.float_info.max`` (:func:`is_cardinality`), and
     ``non_exclusivity``. The pair entries go through :func:`pair_errors`
     in one loop per list, the rules :func:`build_frame` holds, each
     pair two labels first, and each reason is reported at its entry. An
@@ -184,13 +186,18 @@ def _object(errors: list[str], value, name: str) -> dict:
 
 def _entries(errors: list[str], value, name: str, first: str, second: str):
     """Yield (k, entry[first], entry[second]) for each object ``entry`` at
-    index k of the list ``value`` that has both fields; record an error,
+    index k of the list ``value`` that has both fields, recording an error
+    at ``name[k][key]`` for each other key it holds; record an error,
     located as ``name[k]``, for anything else."""
     if type(value) is not list:
         errors.append(f'"{name}" must be a list')
         return
     for k, entry in enumerate(value):
         if type(entry) is dict and first in entry and second in entry:
+            if len(entry) > 2:  # one len for a well-formed entry
+                errors.extend(f'{name}[{k}][{key!r}]: unknown key; expected '
+                              f'"{first}" and "{second}"'
+                              for key in entry if key not in (first, second))
             yield k, entry[first], entry[second]
         else:
             errors.append(f'{name}[{k}]: expected an object with "{first}" and "{second}"')

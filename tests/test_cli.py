@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import io
 import json
@@ -232,9 +231,7 @@ class TestValidate:
         assert captured.err == "non_exclusivity[0]: pair names 'a' twice\n"
 
     def test_missing_file(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["validate", str(tmp_path / "nope.json")])
-        assert err.value.code == 3
+        assert cli.main(["validate", str(tmp_path / "nope.json")]) == 3
 
 
 class TestMeasure:
@@ -806,14 +803,19 @@ class TestUsage:
         assert (run.returncode, run.stderr) == (141, b"")
 
     def test_unknown_flag_exits_3(self):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["measure", "--bogus"])
-        assert err.value.code == 3
+        assert cli.main(["measure", "--bogus"]) == 3
 
     def test_bad_suite_exits_3(self):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["check", "everything"])
-        assert err.value.code == 3
+        assert cli.main(["check", "everything"]) == 3
+
+    def test_main_returns_every_outcome(self, doc_path, tmp_path, capsys):
+        # help, usage errors and I/O errors come back as codes, not SystemExit
+        missing = str(tmp_path / "missing" / "d.json")
+        argvs = [*([doc_path(VACUOUS) if arg == "{path}" else arg for arg in argv]
+                   for argv in USAGE_ARGVS),
+                 ["validate", missing], ["measure", missing], ["gen", "--out", missing]]
+        assert [cli.main(argv) for argv in argvs] == [
+            0 if "-h" in argv else 3 for argv in argvs]
 
     @pytest.mark.parametrize("size", ["0", "7"])
     def test_frame_size_out_of_range_exits_3(self, size, capsys):
@@ -861,11 +863,9 @@ USAGE_ARGVS = [[], ["-h"], ["bogus"], ["-x", "measure"],
                ["measure", "{path}", "--output", "yaml"]]
 
 
-def _exit_outcome(parse, argv, capsys):
-    """The exit code, stdout and stderr of ``parse(argv)``, which must exit."""
-    with pytest.raises(SystemExit) as err:
-        parse(argv)
-    return (err.value.code, *capsys.readouterr())
+def _exit_outcome(argv, capsys):
+    """The exit code ``cli.main(argv)`` returns, and its stdout and stderr."""
+    return (cli.main(argv), *capsys.readouterr())
 
 
 class TestParser:
@@ -874,8 +874,10 @@ class TestParser:
     def test_help_and_usage_match_the_parser_with_every_command(
             self, argv, doc_path, capsys):
         argv = [doc_path(VACUOUS) if arg == "{path}" else arg for arg in argv]
-        expected = _exit_outcome(cli.build_parser().parse_args, argv, capsys)
-        assert _exit_outcome(cli.main, argv, capsys) == expected
+        with pytest.raises(SystemExit) as err:  # argparse exits; main returns
+            cli.build_parser().parse_args(argv)
+        expected = (err.value.code, *capsys.readouterr())
+        assert _exit_outcome(argv, capsys) == expected
 
     @pytest.mark.parametrize("argv, error", [
         (["bogus"], "error: argument command: invalid choice: "),
@@ -883,7 +885,7 @@ class TestParser:
         ids=["bogus", "none"])
     def test_no_command_named_keeps_the_argument_name(self, argv, error, capsys):
         # with every command built, no metavar stands in for "command"
-        code, _, err = _exit_outcome(cli.main, argv, capsys)
+        code, _, err = _exit_outcome(argv, capsys)
         assert code == 3 and err.splitlines()[1].startswith(error)
 
     @pytest.mark.parametrize("argv, parsers", [
@@ -905,8 +907,7 @@ class TestParser:
 
         # subparsers are made from type(root), so they are counted too
         monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-        with contextlib.suppress(SystemExit):  # -h and bogus exit while parsing
-            cli.main(argv)
+        cli.main(argv)
         assert len(built) == parsers
 
     def test_console_argv_keeps_every_command_in_the_usage(self, doc_path):

@@ -875,6 +875,17 @@ class TestBeliefInterval:
         with pytest.raises(ValueError, match="malformed"):
             dn.BeliefInterval(0.8, 0.2)
 
+    # each tolerance edge is accepted, and one float step past it is not
+    @pytest.mark.parametrize("edge, past", [
+        ((-MASS_TOL, 0.0), (math.nextafter(-MASS_TOL, -math.inf), 0.0)),
+        ((0.5 + MASS_TOL, 0.5), (math.nextafter(0.5 + MASS_TOL, math.inf), 0.5)),
+        ((0.0, 1.0 + MASS_TOL), (0.0, math.nextafter(1.0 + MASS_TOL, math.inf)))],
+        ids=["lower-below-zero", "lower-above-upper", "upper-above-one"])
+    def test_tolerance_edges(self, edge, past):
+        dn.BeliefInterval(*edge)
+        with pytest.raises(ValueError, match="malformed"):
+            dn.BeliefInterval(*past)
+
 
 class TestIsBpa:
     """``dst.mass_function`` takes a classical BPA and rejects anything else."""

@@ -257,6 +257,29 @@ def test_unknown_key_reported_with_other_violations():
     ]
 
 
+@pytest.mark.parametrize("extra", [{"mas": 0.9}, {"degre": 0.9, "Set": ["b"]}],
+                         ids=["one-key", "two-keys"])
+@pytest.mark.parametrize("name, first, second", [("masses", "set", "mass"),
+                                                 ("non_exclusivity", "pair", "degree")])
+def test_entry_keys_beyond_its_two_fields_rejected(name, first, second, extra):
+    doc = {"frame": ["a", "b"],
+           "non_exclusivity": [{"pair": ["a", "b"], "degree": 0.5}],
+           "masses": [{"set": ["a"], "mass": 0.5}]}
+    doc[name] = [{**doc[name][0], **extra}]
+    with pytest.raises(DocumentError) as err:
+        dn.parse_document(json.dumps(doc))
+    assert err.value.errors == [
+        f'{name}[0][{key!r}]: unknown key; expected "{first}" and "{second}"'
+        for key in extra]
+
+
+def test_entry_missing_a_field_keeps_its_one_message():
+    with pytest.raises(DocumentError) as err:
+        dn.parse_document(json.dumps({"frame": ["a"], "masses": [
+            {"set": ["a"], "mas": 0.9, "extra": 1}]}))
+    assert err.value.errors == ['masses[0]: expected an object with "set" and "mass"']
+
+
 @pytest.mark.parametrize("mass", [pytest.param(mass, id=name) for mass, name
                                   in zip(BAD_MASSES, BAD_MASS_IDS)
                                   if not isinstance(mass, bytes)])  # JSON holds no bytes
