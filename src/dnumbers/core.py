@@ -31,10 +31,13 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def is_cardinality(value) -> bool:
-    """True for a known size of X: an ``int``, not a ``bool``, from 2 to
-    ``sys.float_info.max``, the largest that converts to a ``float``."""
-    return type(value) is int and 2 <= value <= sys.float_info.max
+def cardinality_error(card) -> str | None:
+    """Why ``card`` cannot be the known size of X, or ``None``: it must be an
+    ``int``, not a ``bool``, from 2 to ``sys.float_info.max``, the largest
+    that converts to a ``float``."""
+    if type(card) is int and 2 <= card <= sys.float_info.max:
+        return None
+    return f"must be an integer from 2 to {sys.float_info.max!r}, got {card!r}"
 
 
 #: The characters of label rules 1 and 5-7: surrogates, Cc, U+2028, U+2029, "|"
@@ -78,7 +81,7 @@ def pair_errors(index: Mapping[str, int], degrees: dict[tuple[int, int], float],
     two ``str`` labels; p is an ``int`` or ``float``, not a ``bool``, in
     [0, 1]; ``index`` (each label to its index, "X" too) holds both
     labels; they differ; the pair is not in ``degrees`` with another
-    degree. Else ``float(p)`` is recorded in ``degrees``, keyed (i, j),
+    degree. Else p is recorded in ``degrees`` as read, keyed (i, j),
     i < j, zeros too, so a conflict shows at the later entry.
     ``parse_document`` reports every reason at its entry, and
     :func:`build_frame` raises the first.
@@ -93,7 +96,7 @@ def pair_errors(index: Mapping[str, int], degrees: dict[tuple[int, int], float],
             yield key, f"unknown label {(a if i is None else b)!r}"
         elif i == j:
             yield key, f"pair names {a!r} twice"
-        elif degrees.setdefault((i, j) if i < j else (j, i), float(p)) != p:
+        elif degrees.setdefault((i, j) if i < j else (j, i), p) != p:
             yield key, f"conflicting degrees for pair ({a!r}, {b!r})"
 
 
@@ -146,24 +149,25 @@ class Frame:
 
     ``elements`` is kept as a tuple of at least one ``str`` label, each
     passing the seven rules of :func:`label_error`, so every frame can be
-    written as a document; ``unknown_cardinality`` is ``None`` or
-    passes :func:`is_cardinality`. ``degrees`` is a read-only copy, without
-    zeros, of a map from ``int`` pairs (i, j), 0 <= i < j <= N, to a degree
-    in [0, 1]: index N = ``len(elements)`` stands for X, and a 0 means an
-    exclusive pair, as an absent pair does. Anything else (a ``bool`` too)
-    raises ``ValueError``; subclasses of ``tuple`` and ``float`` pass.
+    written as a document; ``unknown_cardinality`` is ``None`` or passes
+    :func:`cardinality_error`. ``degrees`` is a read-only table of
+    ``float(p)``, zeros dropped, for a map from ``int`` pairs (i, j),
+    0 <= i < j <= N, to degrees p in [0, 1]: index N = ``len(elements)``
+    stands for X, and a 0 means an exclusive pair, as an absent pair does.
+    Anything else (a ``bool``, a non-``Mapping`` table) raises ``ValueError``;
+    subclasses of ``tuple`` and ``float`` pass. Each input is walked once.
 
+    ``index`` maps each label to its index, "X" to N, read-only.
     ``adjacency`` is derived from ``degrees`` on first read and then kept:
     for each index 0..N, X included, a read-only map from neighbour index
-    to degree, the row of that index. It is not a field, so it takes no
-    part in equality, ``repr`` or ``dataclasses.replace``, and
-    ``validate``, ``gen`` and serialization never build it. Invariant:
-    every row lists its neighbours strongest-first, by non-increasing
-    degree, ties in the order of ``degrees``; the rows are filled from the
-    table sorted once. :meth:`nonexclusivity` and
-    :attr:`DNumber.singleton_pl` walk the rows in that order.
-    :meth:`lookup` reads ``degrees``, which keeps it an independent route
-    for the oracle. Instances are immutable, tables included.
+    to degree, the row of that index. Neither is a field, so neither takes
+    part in equality, ``repr`` or ``dataclasses.replace``; ``validate``,
+    ``gen`` and serialization never build the rows. Invariant: each row
+    lists its neighbours strongest-first, by non-increasing degree, ties
+    in the order of ``degrees``, filled from the table sorted once, the
+    order :meth:`nonexclusivity` and :attr:`DNumber.singleton_pl` walk.
+    :meth:`lookup` reads ``degrees``, an independent route for the oracle.
+    Instances are immutable, tables included.
     """
 
     elements: tuple[str, ...]
@@ -174,21 +178,22 @@ class Frame:
         elements = tuple(self.elements)
         if not elements:
             raise ValueError("a frame needs at least one element")
-        seen = set()
-        for label in elements:
+        index = {}
+        for i, label in enumerate(elements):
             if not isinstance(label, str):
                 raise ValueError(f"label {label!r} is not a str")
-            if reason := label_error(label, seen):
+            if reason := label_error(label, index):
                 raise ValueError(reason)
-            seen.add(label)
+            index[label] = i
+        x = index[X_LABEL] = len(elements)
         card = self.unknown_cardinality
-        if card is not None and not is_cardinality(card):
-            raise ValueError(f"unknown cardinality {card!r} is not an int of at least 2 "
-                             f"and at most {sys.float_info.max!r}")
-        degrees = dict(self.degrees)
-        x = len(elements)
-        for key, p in degrees.items():
-            # inlined, exact float before the call: runs once per stored pair
+        if card is not None and (reason := cardinality_error(card)):
+            raise ValueError(f"unknown_cardinality {reason}")
+        if not isinstance(self.degrees, Mapping):
+            raise ValueError(f"degree table {type(self.degrees).__name__} is not a mapping")
+        degrees = {}
+        for key, p in self.degrees.items():
+            # inlined, exact float before the call: runs once per given pair
             if not (isinstance(key, tuple) and len(key) == 2
                     and type(key[0]) is int and type(key[1]) is int
                     and 0 <= key[0] < key[1] <= x):
@@ -196,9 +201,11 @@ class Frame:
                                  f"with 0 <= i < j <= {x}")
             if not ((type(p) is float or is_number(p)) and 0.0 <= p <= 1.0):
                 raise ValueError(f"degree {p!r} for pair {key} outside [0, 1]")
+            if p:
+                degrees[key] = float(p)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "degrees",
-                           MappingProxyType({key: p for key, p in degrees.items() if p}))
+        object.__setattr__(self, "index", MappingProxyType(index))
+        object.__setattr__(self, "degrees", MappingProxyType(degrees))
 
     def __hash__(self):
         return hash((self.elements, self.unknown_cardinality, frozenset(self.degrees.items())))
@@ -278,11 +285,11 @@ class Frame:
         return best
 
     def index_of(self, label: str) -> int:
-        if label == X_LABEL:
-            return self.x_index
+        """Index of ``label`` read from ``index``, N for "X"; a label the
+        frame does not hold, or an unhashable one, raises ``ValueError``."""
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self.index[label]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown label {label!r}") from None
 
     def subset(self, labels) -> int:
@@ -293,14 +300,11 @@ class Frame:
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        """Labels of a subset mask, frame order, X last. A mask with bits
-        outside the frame raises ``ValueError``."""
+        """Labels of a subset mask, frame order, X last, read from ``index``.
+        A mask with bits outside the frame raises ``ValueError``."""
         if mask & ~self.full_mask:
             raise ValueError(f"subset mask {mask!r} is not inside the frame")
-        out = [label for i, label in enumerate(self.elements) if mask >> i & 1]
-        if mask & self.x_mask:
-            out.append(X_LABEL)
-        return tuple(out)
+        return tuple([label for label, i in self.index.items() if mask >> i & 1])
 
 
 def build_frame(labels, unknown_cardinality=None, degrees=()) -> Frame:
@@ -313,19 +317,17 @@ def build_frame(labels, unknown_cardinality=None, degrees=()) -> Frame:
     ``unknown_cardinality`` is ``None`` for an unknown size.
     The labels and the cardinality are checked first, then ``degrees``, an
     iterable of ((label_a, label_b), p) entries; labels may include the
-    reserved "X". An entry that is not a (pair, p) tuple or list, or a
-    pair that breaks a :func:`pair_errors` rule, raises the first reason:
-    p is not converted, so "0.3" and ``True`` are rejected, and so is a
-    pair naming one label twice. The symmetric closure is taken, and
-    :class:`Frame` drops the zeros.
+    reserved "X", read through ``Frame.index``. An entry that is not a
+    (pair, p) tuple or list, or a pair that breaks a :func:`pair_errors`
+    rule, raises the first reason, p unconverted: so "0.3", ``True`` and
+    a pair naming one label twice are rejected. The symmetric closure is taken, and
+    :class:`Frame` drops the zeros and stores each degree as a ``float``.
     """
     frame = Frame(labels, unknown_cardinality, {})
-    index = {label: i for i, label in enumerate(frame.elements)}
-    index[X_LABEL] = frame.x_index
     given: dict[tuple[int, int], float] = {}
     entries = ((None, *entry) if isinstance(entry, (tuple, list)) and len(entry) == 2
                else (None, None, None) for entry in degrees)
-    for _, reason in pair_errors(index, given, entries):
+    for _, reason in pair_errors(frame.index, given, entries):
         raise ValueError(reason)
     return replace(frame, degrees=given)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 
 from .core import (
     MASS_TOL,
@@ -38,7 +37,7 @@ from .core import (
     DNumber,
     Frame,
     build_dnumber,
-    is_cardinality,
+    cardinality_error,
     label_error,
     mass_error,
     pair_errors,
@@ -66,8 +65,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     one pair is reported at the later entry. The frame must be a nonempty
     list of labels, each passing :func:`label_error`, the rules
     :class:`Frame` holds. ``unknown`` may hold only ``cardinality``, an
-    integer from 2 to ``sys.float_info.max`` (:func:`is_cardinality`), and
-    ``non_exclusivity``. The pair entries go through :func:`pair_errors`
+    integer from 2 to ``sys.float_info.max`` (:func:`cardinality_error`),
+    and ``non_exclusivity``. The pair entries go through :func:`pair_errors`
     in one loop per list, the rules :func:`build_frame` holds, each
     pair two labels first, and each reason is reported at its entry. An
     ``unknown.non_exclusivity`` item ``{label: p}`` is checked as the pair
@@ -116,16 +115,14 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
             errors.append(f"frame[{k}]: {reason}")
         index.setdefault(label, k)
 
-    unknown = doc.get("unknown")
-    unknown = {} if unknown is None else _object(errors, unknown, "unknown")
+    unknown = _object(errors, doc.get("unknown", {}), "unknown")
     for key in unknown:
         if key not in ("cardinality", "non_exclusivity"):
             errors.append(f'unknown[{key!r}]: unknown key; expected '
                           f'"cardinality" or "non_exclusivity"')
     cardinality = unknown.get("cardinality")
-    if "cardinality" in unknown and not is_cardinality(cardinality):
-        errors.append(f'"unknown.cardinality" must be an integer from 2 to '
-                      f'{sys.float_info.max!r}, got {cardinality!r}')
+    if "cardinality" in unknown and (reason := cardinality_error(cardinality)):
+        errors.append(f'"unknown.cardinality" {reason}')
 
     x_degrees = _object(errors, unknown.get("non_exclusivity", {}),
                         "unknown.non_exclusivity")

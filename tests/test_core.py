@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import dnumbers as dn
 from dnumbers import dst, oracle
-from dnumbers.core import MASS_TOL, label_error, mass_error
+from dnumbers.core import MASS_TOL, cardinality_error, label_error, mass_error
 from dnumbers.oracle import iter_indices
 
 from conftest import BAD_MASS_IDS, BAD_MASSES, completed_dnumbers, raw_dnumbers
@@ -34,6 +34,11 @@ class TestBuildFrame:
         {(0, 1): math.nextafter(1.0, 2.0)}])
     def test_malformed_degree_table(self, degrees):
         with pytest.raises(ValueError, match="degree"):
+            dn.Frame(("a", "b"), 2, degrees)
+
+    @pytest.mark.parametrize("degrees", [[((0, 1), 0.5)], None, ((0, 1), 0.5)])
+    def test_degree_table_not_a_mapping(self, degrees):
+        with pytest.raises(ValueError, match="degree table .* is not a mapping"):
             dn.Frame(("a", "b"), 2, degrees)
 
     def test_degree_table_bounds_accepted(self):
@@ -72,7 +77,7 @@ class TestBuildFrame:
             dn.build_frame("ab", 2, [(("a", "z"), 0.5)])
 
     def test_small_unknown_cardinality(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="an integer from 2 to"):
             dn.build_frame("ab", 1, [])
 
     def test_self_degree_is_one(self):
@@ -127,9 +132,9 @@ class TestFrameInvariants:
         (("a", "X"), 2, "reserved"),
         (("a", ""), 2, "nonempty"),
         ((), 2, "at least one element"),
-        (("a", "b"), 1, "at least 2"),
-        (("a", "b"), True, "at least 2"),
-        (("a", "b"), 2.0, "at least 2"),
+        (("a", "b"), 1, "an integer from 2 to"),
+        (("a", "b"), True, "an integer from 2 to"),
+        (("a", "b"), 2.0, "an integer from 2 to"),
         ((1, 2), 2, "label 1 is not a str"),
         (("a", None), 2, "label None is not a str"),
     ])
@@ -139,7 +144,7 @@ class TestFrameInvariants:
 
     @pytest.mark.parametrize("cardinality", [2.9, "3", True, 0, "unknown"])
     def test_build_frame_does_not_coerce_cardinality(self, cardinality):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="an integer from 2 to"):
             dn.build_frame("ab", cardinality, [])
 
     @pytest.mark.parametrize("args", [(None, []), ()], ids=["None", "default"])
@@ -147,7 +152,7 @@ class TestFrameInvariants:
         assert dn.build_frame("ab", *args).unknown_cardinality is None
 
     def test_cardinality_beyond_float_range(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="an integer from 2 to"):
             dn.build_frame("a", 10 ** 400)
 
     def test_largest_cardinality_accepted(self):
@@ -159,7 +164,7 @@ class TestFrameInvariants:
             pass
 
         f = dn.Frame(("a", "b"), None, {(0, 1): Degree(0.5)})
-        assert type(f.lookup(0, 1)) is Degree
+        assert type(f.lookup(0, 1)) is float
         assert f.adjacency[0][1] == 0.5 and f.nonexclusivity(1, 2) == 0.5
         # bool is an int subclass, and no number
         with pytest.raises(ValueError, match=r"degree True for pair \(0, 1\) outside"):
@@ -180,6 +185,49 @@ class TestFrameInvariants:
         assert f.elements == ("a", "b")
         with pytest.raises(AttributeError):
             f.elements.append("c")
+
+    def test_degrees_kept_as_float(self):
+        class Degree(float):
+            pass
+
+        f = dn.Frame(("a", "b", "c"), None, {(0, 1): 1, (1, 3): Degree(0.5), (0, 2): 0})
+        assert f == dn.Frame(("a", "b", "c"), None, {(0, 1): 1.0, (1, 3): 0.5})
+        values = [*f.degrees.values(), *(p for row in f.adjacency for p in row.values()),
+                  *(f.lookup(i, j) for i in range(4) for j in range(4))]
+        assert {type(p) for p in values} == {float}
+
+    def test_label_index_kept(self):
+        f = dn.Frame(["a", "b"], None, {(0, 1): 0.5})
+        assert list(f.index.items()) == [("a", 0), ("b", 1), ("X", 2)]
+        with pytest.raises(TypeError):
+            f.index["c"] = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.index = {}
+        assert "index" not in {field.name for field in dataclasses.fields(f)}
+        assert "index" not in repr(f)
+        assert dict(dataclasses.replace(f, elements=("b", "a")).index) == {
+            "b": 0, "a": 1, "X": 2}
+        assert pickle.loads(pickle.dumps(f)).index == f.index
+
+    @pytest.mark.parametrize("label", ["z", "", "x", ["a"], {"a": 1}])
+    def test_index_of_label_not_in_frame(self, label):
+        f = exclusive("ab")
+        assert [f.index_of(name) for name in "abX"] == [0, 1, 2]
+        with pytest.raises(ValueError, match=r"^unknown label "):
+            f.index_of(label)
+        with pytest.raises(ValueError, match=r"^unknown label "):
+            f.subset(["a", label])
+
+    @pytest.mark.parametrize("card", [1, True, 2.0, "3", 10 ** 400],
+                             ids=["1", "True", "float", "str", "huge-int"])
+    def test_cardinality_rule_worded_as_in_a_document(self, card):
+        assert cardinality_error(2) is None
+        assert cardinality_error(int(sys.float_info.max)) is None
+        reason = cardinality_error(card)
+        assert reason == f"must be an integer from 2 to {sys.float_info.max!r}, got {card!r}"
+        with pytest.raises(ValueError) as err:
+            dn.Frame(("a",), card, {})
+        assert str(err.value) == f"unknown_cardinality {reason}"
 
 
 def assert_rows_strongest_first(f):
@@ -225,7 +273,7 @@ class TestAdjacencyOrder:
             (0, 1): Degree(0.25), (0, 2): 0.75, (1, 2): Degree(0.5)})
         assert_rows_strongest_first(f)
         assert list(f.adjacency[0]) == [2, 1]
-        assert type(f.adjacency[0][1]) is Degree
+        assert type(f.adjacency[0][1]) is float
 
     def test_replace_reorders(self):
         f = dn.Frame(("a", "b", "c"), None, {(0, 1): 0.25, (0, 2): 0.75})

@@ -100,6 +100,8 @@ REJECTIONS = [
      '"non_exclusivity" must be a list'),
     ('{"frame": ["a"], "non_exclusivity": null, "masses": [{"set": ["a"], "mass": 1}]}',
      '"non_exclusivity" must be a list'),
+    ('{"frame": ["a"], "unknown": null, "masses": [{"set": ["a"], "mass": 1}]}',
+     '"unknown" must be an object'),
     ('{"frame": ["\u00e9"], "masses": [{"set": ["\u00e9"], "mass": 1}]}'
      .encode("latin-1"), "encoding error"),
     pytest.param('{"frame": ["a"], "masses": [{"set": ["a"], "mass": 1'
@@ -311,6 +313,18 @@ def test_serialized_from_the_dnumber_alone():
     parsed = dn.parse_document(text)
     assert parsed == (frame, d)
     assert dn.serialize_document(parsed[1]).encode("utf-8") == text.encode("utf-8")
+
+
+def test_equal_frames_serialize_to_the_same_bytes():
+    # a degree is stored as a float, as a mass is, whatever number it was given as
+    class Degree(float):
+        pass
+
+    texts = {dn.serialize_document(dn.DNumber(dn.Frame(("a", "b"), None, {
+        (0, 1): p, (0, 2): p}), {1: 1.0})) for p in (1, 1.0, Degree(1.0))}
+    assert len(texts) == 1
+    text = texts.pop()
+    assert '"degree": 1.0' in text and '"a": 1.0' in text
 
 
 EVERY_FAULT = {
