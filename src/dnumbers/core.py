@@ -12,7 +12,7 @@ import math
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -121,6 +121,8 @@ def mass_error(mask: int, mass) -> str | None:
 class _computed_once:
     """A method run on first read, its value then stored as the attribute.
 
+    Only for the tables that ``validate``, ``gen`` and serialization must
+    not pay for, :attr:`Frame.adjacency` and :attr:`DNumber.singleton_pl`.
     Like ``functools.cached_property``, but the value is stored with
     ``object.__setattr__``, which also gets past a frozen dataclass,
     instead of through ``instance.__dict__``. On CPython 3.11 reading
@@ -154,18 +156,21 @@ class Frame:
     ``float(p)``, zeros dropped, for a map from ``int`` pairs (i, j),
     0 <= i < j <= N, to degrees p in [0, 1]: index N = ``len(elements)``
     stands for X, and a 0 means an exclusive pair, as an absent pair does.
-    Anything else (a ``bool``, a non-``Mapping`` table) raises ``ValueError``;
-    subclasses of ``tuple`` and ``float`` pass. Each input is walked once.
+    Anything else (a ``bool``, non-iterable elements, a non-``Mapping``
+    table) raises ``ValueError``; subclasses of ``tuple`` and ``float``
+    pass. Each input is walked once.
 
-    ``index`` maps each label to its index, "X" to N, read-only.
-    ``adjacency`` is derived from ``degrees`` on first read and then kept:
-    for each index 0..N, X included, a read-only map from neighbour index
-    to degree, the row of that index. Neither is a field, so neither takes
-    part in equality, ``repr`` or ``dataclasses.replace``; ``validate``,
-    ``gen`` and serialization never build the rows. Invariant: each row
-    lists its neighbours strongest-first, by non-increasing degree, ties
-    in the order of ``degrees``, filled from the table sorted once, the
-    order :meth:`nonexclusivity` and :attr:`DNumber.singleton_pl` walk.
+    The inputs are the only fields; each value derived from them is
+    read-only and takes no part in equality, ``repr``, ``replace`` or
+    pickling. Set once: ``size`` N, ``index`` (label to index, "X" to N),
+    ``x_mask`` {X}, ``theta_mask`` Θ and ``full_mask`` Θ ∪ {X}.
+    ``adjacency``, which ``validate``, ``gen`` and serialization never
+    build, is derived on first read and then kept: for each index 0..N,
+    X included, a read-only map from neighbour index to degree, the row of
+    that index. Invariant: each row lists its neighbours strongest-first,
+    by non-increasing degree, ties in the order of ``degrees``, filled
+    from the table sorted once, the order :meth:`nonexclusivity` and
+    :attr:`DNumber.singleton_pl` walk.
     :meth:`lookup` reads ``degrees``, an independent route for the oracle.
     Instances are immutable, tables included.
     """
@@ -175,7 +180,11 @@ class Frame:
     degrees: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        elements = tuple(self.elements)
+        try:
+            elements = tuple(self.elements)
+        except TypeError:
+            raise ValueError(f"elements {type(self.elements).__name__} "
+                             f"are not iterable") from None
         if not elements:
             raise ValueError("a frame needs at least one element")
         index = {}
@@ -206,6 +215,10 @@ class Frame:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", MappingProxyType(index))
         object.__setattr__(self, "degrees", MappingProxyType(degrees))
+        object.__setattr__(self, "size", x)
+        object.__setattr__(self, "x_mask", 1 << x)
+        object.__setattr__(self, "theta_mask", (1 << x) - 1)
+        object.__setattr__(self, "full_mask", (2 << x) - 1)
 
     def __hash__(self):
         return hash((self.elements, self.unknown_cardinality, frozenset(self.degrees.items())))
@@ -221,28 +234,6 @@ class Frame:
         for (i, j), p in sorted(self.degrees.items(), key=itemgetter(1), reverse=True):
             rows[i][j] = rows[j][i] = p
         return tuple(map(MappingProxyType, rows))
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def x_index(self) -> int:
-        return len(self.elements)
-
-    @property
-    def x_mask(self) -> int:
-        return 1 << len(self.elements)
-
-    @property
-    def theta_mask(self) -> int:
-        """Mask of all known elements (X excluded)."""
-        return (1 << len(self.elements)) - 1
-
-    @_computed_once  # read by every bel and pl call
-    def full_mask(self) -> int:
-        """Mask of the whole frame including X."""
-        return (1 << (len(self.elements) + 1)) - 1
 
     def lookup(self, i: int, j: int) -> float:
         """Stored singleton-pair degree; 1 on the diagonal, 0 if absent."""
@@ -339,23 +330,27 @@ class DNumber:
     ``masses`` maps ``int`` masks inside the frame to masses, each entry
     passing :func:`mass_error` (checked after the mask is found inside the
     frame) and all totalling at most 1 + :data:`MASS_TOL`; anything else
-    raises ``ValueError``. It is kept as a read-only copy of ``float``
-    masses without zeros, in ascending-mask order, from which
-    ``total_mass`` (its fsum) and ``completed`` are derived. A D number is
-    complete when its total is within ``MASS_TOL`` of 1, on either side,
-    so :func:`complete` only ever adds a positive residual. Immutable.
+    raises ``ValueError``, as do a non-:class:`Frame` ``frame`` and a
+    non-``Mapping`` table. It is kept as a read-only copy of ``float``
+    masses without zeros, in ascending-mask order. Immutable.
 
-    ``singleton_pl`` is derived on first use and then kept: a read-only
-    tuple of Pl({i}) for every index 0..N, X last. It is not a field, so
-    it takes no part in equality, ``repr`` or ``dataclasses.replace``.
+    The inputs are the only fields; each value derived from them is
+    read-only and takes no part in equality, ``repr``, ``replace`` or
+    pickling. Set once: ``total_mass``, the masses' fsum, and
+    ``completed``, true within ``MASS_TOL`` of 1 on either side, so
+    :func:`complete` only ever adds a positive residual. ``singleton_pl``
+    is derived on first use and then kept: a read-only tuple of Pl({i})
+    for every index 0..N, X last.
     """
 
     frame: Frame
     masses: Mapping[int, float]
-    completed: bool = field(init=False)
-    total_mass: float = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.frame, Frame):
+            raise ValueError(f"frame {type(self.frame).__name__} is not a Frame")
+        if not isinstance(self.masses, Mapping):
+            raise ValueError(f"mass table {type(self.masses).__name__} is not a mapping")
         full = self.frame.full_mask
         for mask, mass in self.masses.items():
             if type(mask) is not int or mask & ~full:

@@ -222,7 +222,7 @@ def document_dict(d: DNumber) -> dict:
     frame = d.frame
     doc: dict = {"frame": list(frame.elements)}
 
-    x = frame.x_index
+    x = frame.size
     x_degrees = {frame.elements[i]: p
                  for (i, j), p in sorted(frame.degrees.items()) if j == x}
     unknown: dict = {}

@@ -398,7 +398,7 @@ def kernel_mutant(keep, x_degrees):
     """The singleton Pl pass, merging its members' degrees with ``keep`` and,
     without ``x_degrees``, adding no degree term to X's column."""
     def singleton_pl(d):
-        adjacency, x = d.frame.adjacency, d.frame.x_index
+        adjacency, x = d.frame.adjacency, d.frame.size
         terms = [[] for _ in adjacency]
         for b, w in d.masses.items():
             reach = {}
@@ -543,7 +543,7 @@ class TestCheck:
         rows = Frame.adjacency.func
 
         def without_x(self):
-            x = self.x_index
+            x = self.size
             return tuple({} if i == x else {j: p for j, p in row.items() if j != x}
                          for i, row in enumerate(rows(self)))
         monkeypatch.setattr(Frame, "adjacency", property(without_x))

@@ -41,6 +41,21 @@ class TestBuildFrame:
         with pytest.raises(ValueError, match="degree table .* is not a mapping"):
             dn.Frame(("a", "b"), 2, degrees)
 
+    @pytest.mark.parametrize("elements", [5, None], ids=["int", "None"])
+    def test_elements_not_iterable(self, elements):
+        with pytest.raises(ValueError, match=r"^elements \w+ are not iterable$"):
+            dn.Frame(elements, None, {})
+        assert dn.Frame("ab", None, {}).elements == ("a", "b")
+
+    @pytest.mark.parametrize("frame, masses, needle", [
+        (None, [(1, 0.5)], "mass table list is not a mapping"),
+        (None, None, "mass table NoneType is not a mapping"),
+        ("ab", {1: 1.0}, "frame str is not a Frame"),
+    ], ids=["list", "None", "str-frame"])
+    def test_dnumber_inputs_of_the_wrong_kind(self, frame, masses, needle):
+        with pytest.raises(ValueError, match=f"^{needle}$"):
+            dn.DNumber(exclusive("ab") if frame is None else frame, masses)
+
     def test_degree_table_bounds_accepted(self):
         f = dn.Frame(("a", "b"), 2, {(0, 2): 1.0, (1, 2): 1e-300})
         assert f.nonexclusivity(f.subset("ab"), f.x_mask) == f.lookup(0, 2) == 1.0
@@ -83,11 +98,11 @@ class TestBuildFrame:
     def test_self_degree_is_one(self):
         f = exclusive("ab")
         assert f.lookup(0, 0) == 1.0
-        assert f.lookup(f.x_index, f.x_index) == 1.0
+        assert f.lookup(f.size, f.size) == 1.0
 
     def test_x_pair_allowed(self):
         f = dn.build_frame("ab", None, [(("a", "X"), 0.7)])
-        assert f.lookup(0, f.x_index) == 0.7
+        assert f.lookup(0, f.size) == 0.7
         assert f.unknown_cardinality is None
 
     @pytest.mark.parametrize("first,second", [(0.0, 0.5), (0.5, 0.0)])
@@ -196,18 +211,27 @@ class TestFrameInvariants:
                   *(f.lookup(i, j) for i in range(4) for j in range(4))]
         assert {type(p) for p in values} == {float}
 
-    def test_label_index_kept(self):
+    def test_derived_values_kept(self):
         f = dn.Frame(["a", "b"], None, {(0, 1): 0.5})
+        derived = ["index", "size", "x_mask", "theta_mask", "full_mask"]
+        assert [field.name for field in dataclasses.fields(f)] == [
+            "elements", "unknown_cardinality", "degrees"]
+        assert not any(isinstance(v, property) for v in vars(dn.Frame).values())
         assert list(f.index.items()) == [("a", 0), ("b", 1), ("X", 2)]
+        assert [f.size, f.x_mask, f.theta_mask, f.full_mask] == [2, 0b100, 0b011, 0b111]
         with pytest.raises(TypeError):
             f.index["c"] = 3
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            f.index = {}
-        assert "index" not in {field.name for field in dataclasses.fields(f)}
-        assert "index" not in repr(f)
-        assert dict(dataclasses.replace(f, elements=("b", "a")).index) == {
-            "b": 0, "a": 1, "X": 2}
-        assert pickle.loads(pickle.dumps(f)).index == f.index
+        for name in derived:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, getattr(f, name))
+            assert name not in repr(f)
+        wider = dataclasses.replace(f, elements=("b", "a", "c"))
+        assert dict(wider.index) == {"b": 0, "a": 1, "c": 2, "X": 3}
+        assert [wider.size, wider.x_mask, wider.theta_mask, wider.full_mask] == [
+            3, 0b1000, 0b0111, 0b1111]
+        copied = pickle.loads(pickle.dumps(f))
+        assert [getattr(copied, name) for name in derived] == [
+            getattr(f, name) for name in derived]
 
     @pytest.mark.parametrize("label", ["z", "", "x", ["a"], {"a": 1}])
     def test_index_of_label_not_in_frame(self, label):
@@ -262,7 +286,7 @@ class TestAdjacencyOrder:
         f = dn.Frame(("a", "b", "c"), None, {
             (0, 1): 0.3, (0, 3): 1.0, (1, 3): 0.6, (2, 3): 1, (1, 2): 1.0})
         assert_rows_strongest_first(f)
-        assert list(f.adjacency[f.x_index]) == [0, 2, 1]
+        assert list(f.adjacency[f.size]) == [0, 2, 1]
         assert list(f.adjacency[1]) == [2, 3, 0]
 
     def test_float_subclass_degrees(self):
@@ -559,6 +583,18 @@ class TestDNumberInvariants:
         with pytest.raises(ValueError, match="completed"):
             dn.bel(raw, 1)
 
+    def test_derived_values_kept(self):
+        # replace: test_replace_recomputes_derived_fields
+        d = dn.DNumber(exclusive("ab"), {1: 0.25, 2: 0.5})
+        assert [field.name for field in dataclasses.fields(d)] == ["frame", "masses"]
+        for name in ["completed", "total_mass"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d, name, getattr(d, name))
+            assert name not in repr(d)
+        copied = pickle.loads(pickle.dumps(d))
+        assert (copied.completed, copied.total_mass) == (d.completed, d.total_mass) == (
+            False, 0.75)
+
     def test_masses_stored_as_floats(self):
         class Mass(float):
             pass
@@ -590,9 +626,9 @@ class TestReadOnlyTables:
         with pytest.raises(TypeError):
             f.adjacency[0][1] = 1.0
         with pytest.raises(TypeError):
-            f.adjacency[0][f.x_index] = 1.0
+            f.adjacency[0][f.size] = 1.0
         with pytest.raises(TypeError):
-            f.adjacency[0] = {f.x_index: 1.0}
+            f.adjacency[0] = {f.size: 1.0}
         assert f.nonexclusivity(f.subset("a"), f.subset("b")) == 0.3
         assert f.nonexclusivity(f.subset("a"), f.x_mask) == 0.0
 

@@ -59,7 +59,7 @@ def test_full_document():
     }))
     assert frame.unknown_cardinality == 3
     assert frame.lookup(0, 1) == 0.3
-    assert frame.lookup(1, frame.x_index) == 0.2
+    assert frame.lookup(1, frame.size) == 0.2
     assert d.masses[frame.x_mask] == 0.5
 
 
@@ -69,7 +69,7 @@ def test_x_pair_in_top_level_list():
         "non_exclusivity": [{"pair": ["a", "X"], "degree": 0.4}],
         "masses": [{"set": ["a"], "mass": 1}],
     }))
-    assert frame.lookup(0, frame.x_index) == 0.4
+    assert frame.lookup(0, frame.size) == 0.4
 
 
 REJECTIONS = [
@@ -212,7 +212,7 @@ def test_repeated_equal_degree_accepted():
         "non_exclusivity": [{"pair": ["X", "a"], "degree": 0.5}],
         "masses": [{"set": ["a"], "mass": 1}],
     }))
-    assert frame.lookup(0, frame.x_index) == 0.5
+    assert frame.lookup(0, frame.size) == 0.5
 
 
 def test_all_violations_reported():
@@ -549,14 +549,17 @@ def test_frame_accepts_the_labels_a_document_accepts(labels):
 def _degree_case(doc):
     """(labels, degrees, reason) in build_frame's terms for a document of
     ``REJECTIONS`` whose every fault breaks a label-pair degree rule, else
-    ``None``. A fault in an entry's shape, and an ``unknown.non_exclusivity``
-    keyed "X", are the document's own checks."""
+    ``None``, also for a document that parses, which the ``REJECTIONS``
+    test itself reports. A fault in an entry's shape, and an
+    ``unknown.non_exclusivity`` keyed "X", are the document's own checks."""
     if not isinstance(doc, str):
         return None
     try:
         dn.parse_document(doc)
     except DocumentError as exc:
         errors = exc.errors
+    else:
+        return None
     located = [e.split("]: ", 1) for e in errors
                if e.startswith(("non_exclusivity[", "unknown.non_exclusivity["))]
     if len(located) < len(errors) or any(
@@ -576,6 +579,10 @@ DEGREE_REJECTIONS = [case for case in (_degree_case(getattr(p, "values", p)[0])
 
 def test_degree_rejections_found():
     assert len(DEGREE_REJECTIONS) == 8
+
+
+def test_degree_case_of_an_accepted_document():
+    assert _degree_case('{"frame": ["a"], "masses": [{"set": ["a"], "mass": 1.0}]}') is None
 
 
 @pytest.mark.parametrize("labels, degrees, reason", DEGREE_REJECTIONS)

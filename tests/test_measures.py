@@ -187,16 +187,16 @@ def permuted_copy(d, order):
     frame = d.frame
     labels = [frame.elements[i] for i in order]
     inverse = {old: new for new, old in enumerate(order)}
-    inverse[frame.x_index] = frame.x_index
+    inverse[frame.size] = frame.size
 
     def relabel(i):
-        return "X" if i == frame.x_index else labels[inverse[i]]
+        return "X" if i == frame.size else labels[inverse[i]]
 
     degrees = [((relabel(i), relabel(j)), p) for (i, j), p in frame.degrees.items()]
     new_frame = dn.build_frame(labels, frame.unknown_cardinality, degrees)
     entries = []
     for mask, mass in d.masses.items():
-        names = [relabel(i) for i in range(frame.x_index + 1) if mask >> i & 1]
+        names = [relabel(i) for i in range(frame.size + 1) if mask >> i & 1]
         entries.append((new_frame.subset(names), mass))
     return dn.complete(dn.build_dnumber(new_frame, entries))
 
