@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure, 2 property failure,
 3 I/O or usage error, 141 (128 + SIGPIPE) stdout closed by its reader.
-A call builds the subparser of the command it names and of no other.
+An argv that starts with a command builds that command's parser alone;
+the root parser, listing all four, parses any other argv (none, an
+unknown command, an option first) and one with arguments left over.
 """
 
 from __future__ import annotations
@@ -180,18 +182,19 @@ COMMANDS = {"validate": ("validate a document", _validate_arguments, cmd_validat
             "gen": ("generate a random document", _gen_arguments, cmd_gen)}
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for ``argv``: only its command's subparser if argv[0] names one."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """``dnumbers <command>``, as the root's ``add_parser`` makes it, for an
+    argv that starts with that command; with no command, the root ``dnumbers``
+    with all four as subparsers, for any other argv or arguments left over."""
+    if command is not None:
+        parser = _Parser(prog=f"dnumbers {command}")
+        COMMANDS[command][1](parser)
+        return parser
     parser = _Parser(prog="dnumbers",
                      description="D number validation, uncertainty measures, "
                                  "instance generation, and property suites.")
-    one = bool(argv) and argv[0] in COMMANDS
-    # built alone, a command would drop the others from the root usage; with
-    # all four, a metavar would rename "argument command" in argparse's errors
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
-    for name in argv[:1] if one else COMMANDS:
-        help_text, add_arguments, _ = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -200,8 +203,15 @@ def main(argv=None) -> int:
     """Run one command; the only place any outcome, help too, becomes an exit code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
-        code = COMMANDS[args.command][2](args)
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        if command is not None:
+            args, extra = build_parser(command).parse_known_args(argv[1:])
+        if command is None or extra:
+            # no command first, or arguments its parser left over: the root
+            # routes argv, or reports them under its own usage line
+            args = build_parser().parse_args(argv)
+            command = args.command
+        code = COMMANDS[command][2](args)
         sys.stdout.flush()  # a closed stdout raises here at the latest
         return code
     except SystemExit as exc:  # argparse's: 0 after help, 3 from _Parser.error

@@ -156,9 +156,11 @@ class Frame:
     ``float(p)``, zeros dropped, for a map from ``int`` pairs (i, j),
     0 <= i < j <= N, to degrees p in [0, 1]: index N = ``len(elements)``
     stands for X, and a 0 means an exclusive pair, as an absent pair does.
-    Anything else (a ``bool``, non-iterable elements, a non-``Mapping``
-    table) raises ``ValueError``; subclasses of ``tuple`` and ``float``
-    pass. Each input is walked once.
+    Anything else (a ``bool``, non-iterable elements, a ``set`` or
+    ``frozenset`` of elements, whose order would follow the hash seed, a
+    non-``Mapping`` table) raises ``ValueError``; a ``str`` of one-letter
+    labels, subclasses of ``tuple`` and ``float`` pass. Each input is
+    walked once.
 
     The inputs are the only fields; each value derived from them is
     read-only and takes no part in equality, ``repr``, ``replace`` or
@@ -180,6 +182,9 @@ class Frame:
     degrees: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
+        if isinstance(self.elements, (set, frozenset)):
+            raise ValueError(f"elements {type(self.elements).__name__} "
+                             f"have no fixed order")
         try:
             elements = tuple(self.elements)
         except TypeError:

@@ -47,6 +47,21 @@ class TestBuildFrame:
             dn.Frame(elements, None, {})
         assert dn.Frame("ab", None, {}).elements == ("a", "b")
 
+    @pytest.mark.parametrize("elements", [{"a", "b", "c"}, frozenset("abc")],
+                             ids=["set", "frozenset"])
+    def test_elements_without_an_order(self, elements):
+        # a set's order follows the hash seed, so its labels' indices would too
+        with pytest.raises(ValueError, match=r"^elements \w+ have no fixed order$"):
+            dn.Frame(elements, None, {})
+        with pytest.raises(ValueError, match="no fixed order"):
+            dn.build_frame(elements, 2, [(("a", "b"), 0.5)])
+
+    @pytest.mark.parametrize("elements", [["a", "b"], ("a", "b"),
+                                          (label for label in "ab")],
+                             ids=["list", "tuple", "generator"])
+    def test_ordered_elements_accepted(self, elements):
+        assert dn.Frame(elements, None, {}).elements == ("a", "b")
+
     @pytest.mark.parametrize("frame, masses, needle", [
         (None, [(1, 0.5)], "mass table list is not a mapping"),
         (None, None, "mass table NoneType is not a mapping"),
