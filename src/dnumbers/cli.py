@@ -10,12 +10,9 @@ unknown command, an option first) and one with arguments left over.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import asdict
-from pathlib import Path
 
 from .core import ENUMERATION_CAP, belief_interval, complete
 from .document import DocumentError, parse_document, serialize_document
@@ -45,7 +42,8 @@ def _validate_arguments(p):
 
 
 def cmd_validate(args) -> int:
-    parse_document(Path(args.path).read_bytes())
+    with open(args.path, "rb") as file:
+        parse_document(file.read())
     print("ok")
     return EXIT_OK
 
@@ -59,7 +57,8 @@ def _measure_arguments(p):
 
 
 def cmd_measure(args) -> int:
-    frame, raw = parse_document(Path(args.path).read_bytes())
+    with open(args.path, "rb") as file:
+        frame, raw = parse_document(file.read())
     if args.subsets == "all" and frame.size > ENUMERATION_CAP:
         raise ValueError(f"--subsets all limited to frames of size "
                          f"{ENUMERATION_CAP}")
@@ -78,6 +77,7 @@ def cmd_measure(args) -> int:
     singletons, subsets = rows[:frame.size], rows[frame.size:]
 
     if args.output == "csv":
+        import csv  # here, not at the top: only this output needs it
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("element", "bel", "pl", "term"))
         writer.writerows(rows)
@@ -86,7 +86,8 @@ def cmd_measure(args) -> int:
             print(json.dumps({"element": label, "bel": lo, "pl": hi, "term": term}))
         for name, lo, hi, _ in subsets:
             print(json.dumps({"set": name, "bel": lo, "pl": hi}))
-        print(json.dumps({**asdict(tu), "completion_mass": injected}))
+        print(json.dumps({"ku": tu.ku, "uu_coefficient": tu.uu_coefficient,
+                          "uu_evaluated": tu.uu_evaluated, "completion_mass": injected}))
     else:
         width = max(len("element"), *(len(r[0]) for r in singletons))
         print(f"{'element':<{width}}  {'bel':>9}  {'pl':>9}  {'term':>9}")
@@ -140,11 +141,11 @@ def cmd_check(args) -> int:
         if not report.ok:
             failed = True
             if args.counterexample_dir:
-                out = Path(args.counterexample_dir)
-                out.mkdir(parents=True, exist_ok=True)
+                os.makedirs(args.counterexample_dir, exist_ok=True)
                 for k, (d, context) in enumerate(report.failures):
-                    (out / f"{name}-{k:04d}.json").write_text(
-                        serialize_document(d, context), encoding="utf-8")
+                    path = os.path.join(args.counterexample_dir, f"{name}-{k:04d}.json")
+                    with open(path, "w", encoding="utf-8") as file:
+                        file.write(serialize_document(d, context))
     return EXIT_PROPERTY if failed else EXIT_OK
 
 
@@ -168,7 +169,8 @@ def cmd_gen(args) -> int:
                                     seed=args.seed)
     text = serialize_document(oracle.generate_raw(config))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

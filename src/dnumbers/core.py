@@ -12,7 +12,6 @@ import math
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -118,14 +117,62 @@ def mass_error(mask: int, mass) -> str | None:
     return f"mass must be a nonnegative number no greater than 1, got {mass!r}"
 
 
+class _Value:
+    """An immutable value whose fields, in order, are ``__match_args__``.
+
+    What ``@dataclass(frozen=True)`` would give, without importing
+    ``dataclasses``, which ``measure`` and ``validate`` would pay for at
+    start-up: ``==`` on the field tuples of two instances of the same
+    class (else ``NotImplemented``), ``hash`` of the field tuple, a
+    ``repr`` naming each field, ``match`` patterns, and
+    :meth:`replace`. Setting or deleting any attribute raises
+    ``AttributeError``; a constructor stores its fields, and a derived
+    value, with ``object.__setattr__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, rebuilt through the
+        constructor, so every check runs again; a name that is not a field
+        raises ``TypeError``."""
+        fields = {name: getattr(self, name) for name in self.__match_args__}
+        return type(self)(**(fields | changes))
+
+    __replace__ = replace  # copy.replace, Python 3.13+
+
+
 class _computed_once:
     """A method run on first read, its value then stored as the attribute.
 
     Only for the tables that ``validate``, ``gen`` and serialization must
     not pay for, :attr:`Frame.adjacency` and :attr:`DNumber.singleton_pl`.
     Like ``functools.cached_property``, but the value is stored with
-    ``object.__setattr__``, which also gets past a frozen dataclass,
-    instead of through ``instance.__dict__``. On CPython 3.11 reading
+    ``object.__setattr__``, which also gets past the blocking
+    ``__setattr__`` of a :class:`_Value`, instead of through
+    ``instance.__dict__``. On CPython 3.11 reading
     ``__dict__`` turns an object's inline attribute values into a dict,
     and every later attribute read on it costs about three times as much.
     """
@@ -145,8 +192,7 @@ class _computed_once:
         return value
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Value):
     """Ordered element labels, the unknown element X, and pairwise degrees.
 
     ``elements`` is kept as a tuple of at least one ``str`` label, each
@@ -162,10 +208,11 @@ class Frame:
     labels, subclasses of ``tuple`` and ``float`` pass. Each input is
     walked once.
 
-    The inputs are the only fields; each value derived from them is
-    read-only and takes no part in equality, ``repr``, ``replace`` or
-    pickling. Set once: ``size`` N, ``index`` (label to index, "X" to N),
-    ``x_mask`` {X}, ``theta_mask`` Θ and ``full_mask`` Θ ∪ {X}.
+    The inputs are the only fields, listed in ``__match_args__``; each
+    value derived from them is read-only and takes no part in equality,
+    ``repr``, :meth:`replace` or pickling. Set once: ``size`` N,
+    ``index`` (label to index, "X" to N), ``x_mask`` {X}, ``theta_mask``
+    Θ and ``full_mask`` Θ ∪ {X}.
     ``adjacency``, which ``validate``, ``gen`` and serialization never
     build, is derived on first read and then kept: for each index 0..N,
     X included, a read-only map from neighbour index to degree, the row of
@@ -174,21 +221,21 @@ class Frame:
     from the table sorted once, the order :meth:`nonexclusivity` and
     :attr:`DNumber.singleton_pl` walk.
     :meth:`lookup` reads ``degrees``, an independent route for the oracle.
-    Instances are immutable, tables included.
+    Instances are immutable, tables included: setting or deleting any
+    attribute raises ``AttributeError``.
     """
 
-    elements: tuple[str, ...]
-    unknown_cardinality: int | None
-    degrees: Mapping[tuple[int, int], float]
+    __match_args__ = ("elements", "unknown_cardinality", "degrees")
 
-    def __post_init__(self):
-        if isinstance(self.elements, (set, frozenset)):
-            raise ValueError(f"elements {type(self.elements).__name__} "
+    def __init__(self, elements, unknown_cardinality: int | None,
+                 degrees: Mapping[tuple[int, int], float]):
+        if isinstance(elements, (set, frozenset)):
+            raise ValueError(f"elements {type(elements).__name__} "
                              f"have no fixed order")
         try:
-            elements = tuple(self.elements)
+            elements = tuple(elements)
         except TypeError:
-            raise ValueError(f"elements {type(self.elements).__name__} "
+            raise ValueError(f"elements {type(elements).__name__} "
                              f"are not iterable") from None
         if not elements:
             raise ValueError("a frame needs at least one element")
@@ -200,13 +247,13 @@ class Frame:
                 raise ValueError(reason)
             index[label] = i
         x = index[X_LABEL] = len(elements)
-        card = self.unknown_cardinality
+        card = unknown_cardinality
         if card is not None and (reason := cardinality_error(card)):
             raise ValueError(f"unknown_cardinality {reason}")
-        if not isinstance(self.degrees, Mapping):
-            raise ValueError(f"degree table {type(self.degrees).__name__} is not a mapping")
-        degrees = {}
-        for key, p in self.degrees.items():
+        if not isinstance(degrees, Mapping):
+            raise ValueError(f"degree table {type(degrees).__name__} is not a mapping")
+        table = {}
+        for key, p in degrees.items():
             # inlined, exact float before the call: runs once per given pair
             if not (isinstance(key, tuple) and len(key) == 2
                     and type(key[0]) is int and type(key[1]) is int
@@ -216,10 +263,11 @@ class Frame:
             if not ((type(p) is float or is_number(p)) and 0.0 <= p <= 1.0):
                 raise ValueError(f"degree {p!r} for pair {key} outside [0, 1]")
             if p:
-                degrees[key] = float(p)
+                table[key] = float(p)
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "unknown_cardinality", card)
         object.__setattr__(self, "index", MappingProxyType(index))
-        object.__setattr__(self, "degrees", MappingProxyType(degrees))
+        object.__setattr__(self, "degrees", MappingProxyType(table))
         object.__setattr__(self, "size", x)
         object.__setattr__(self, "x_mask", 1 << x)
         object.__setattr__(self, "theta_mask", (1 << x) - 1)
@@ -296,11 +344,19 @@ class Frame:
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        """Labels of a subset mask, frame order, X last, read from ``index``.
+        """Labels of a subset mask, frame order, X last, in one pass over
+        ``bin(mask)`` from the low end: O(N) in C plus O(|mask|) steps.
         A mask with bits outside the frame raises ``ValueError``."""
         if mask & ~self.full_mask:
             raise ValueError(f"subset mask {mask!r} is not inside the frame")
-        return tuple([label for label, i in self.index.items() if mask >> i & 1])
+        labels = (*self.elements, X_LABEL)
+        bits = bin(mask)[:1:-1]  # bit i at position i
+        found = []
+        i = bits.find("1")
+        while i >= 0:
+            found.append(labels[i])
+            i = bits.find("1", i + 1)
+        return tuple(found)
 
 
 def build_frame(labels, unknown_cardinality=None, degrees=()) -> Frame:
@@ -325,11 +381,10 @@ def build_frame(labels, unknown_cardinality=None, degrees=()) -> Frame:
                else (None, None, None) for entry in degrees)
     for _, reason in pair_errors(frame.index, given, entries):
         raise ValueError(reason)
-    return replace(frame, degrees=given)
+    return frame.replace(degrees=given)
 
 
-@dataclass(frozen=True)
-class DNumber:
+class DNumber(_Value):
     """A mass assignment over nonempty subsets of the frame.
 
     ``masses`` maps ``int`` masks inside the frame to masses, each entry
@@ -337,35 +392,36 @@ class DNumber:
     frame) and all totalling at most 1 + :data:`MASS_TOL`; anything else
     raises ``ValueError``, as do a non-:class:`Frame` ``frame`` and a
     non-``Mapping`` table. It is kept as a read-only copy of ``float``
-    masses without zeros, in ascending-mask order. Immutable.
+    masses without zeros, in ascending-mask order. Immutable, as a
+    :class:`Frame` is.
 
-    The inputs are the only fields; each value derived from them is
-    read-only and takes no part in equality, ``repr``, ``replace`` or
-    pickling. Set once: ``total_mass``, the masses' fsum, and
-    ``completed``, true within ``MASS_TOL`` of 1 on either side, so
-    :func:`complete` only ever adds a positive residual. ``singleton_pl``
-    is derived on first use and then kept: a read-only tuple of Pl({i})
-    for every index 0..N, X last.
+    The inputs are the only fields, listed in ``__match_args__``; each
+    value derived from them is read-only and takes no part in equality,
+    ``repr``, :meth:`replace` or pickling. Set once: ``total_mass``, the
+    masses' fsum, and ``completed``, true within ``MASS_TOL`` of 1 on
+    either side, so :func:`complete` only ever adds a positive residual.
+    ``singleton_pl`` is derived on first use and then kept: a read-only
+    tuple of Pl({i}) for every index 0..N, X last.
     """
 
-    frame: Frame
-    masses: Mapping[int, float]
+    __match_args__ = ("frame", "masses")
 
-    def __post_init__(self):
-        if not isinstance(self.frame, Frame):
-            raise ValueError(f"frame {type(self.frame).__name__} is not a Frame")
-        if not isinstance(self.masses, Mapping):
-            raise ValueError(f"mass table {type(self.masses).__name__} is not a mapping")
-        full = self.frame.full_mask
-        for mask, mass in self.masses.items():
+    def __init__(self, frame: Frame, masses: Mapping[int, float]):
+        if not isinstance(frame, Frame):
+            raise ValueError(f"frame {type(frame).__name__} is not a Frame")
+        if not isinstance(masses, Mapping):
+            raise ValueError(f"mass table {type(masses).__name__} is not a mapping")
+        full = frame.full_mask
+        for mask, mass in masses.items():
             if type(mask) is not int or mask & ~full:
                 raise ValueError(f"subset mask {mask!r} is not an int inside the frame")
             if reason := mass_error(mask, mass):
                 raise ValueError(reason)
-        masses = {m: float(v) for m, v in sorted(self.masses.items()) if v > 0.0}
+        masses = {m: float(v) for m, v in sorted(masses.items()) if v > 0.0}
         total = math.fsum(masses.values())
         if total > 1.0 + MASS_TOL:
             raise ValueError(f"total mass {total} exceeds 1")
+        object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "masses", MappingProxyType(masses))
         object.__setattr__(self, "total_mass", total)
         object.__setattr__(self, "completed", 1.0 - total <= MASS_TOL)
@@ -513,17 +569,16 @@ def pl(d: DNumber, a: int) -> float:
                       for m, v in d.masses.items()])
 
 
-@dataclass(frozen=True)
-class BeliefInterval:
+class BeliefInterval(_Value):
     """Support range [Bel(A), Pl(A)] for a proposition."""
 
-    lower: float
-    upper: float
+    __match_args__ = ("lower", "upper")
 
-    def __post_init__(self):
-        if not (-MASS_TOL <= self.lower <= self.upper + MASS_TOL
-                and self.upper <= 1.0 + MASS_TOL):
-            raise ValueError(f"malformed belief interval [{self.lower}, {self.upper}]")
+    def __init__(self, lower: float, upper: float):
+        if not (-MASS_TOL <= lower <= upper + MASS_TOL and upper <= 1.0 + MASS_TOL):
+            raise ValueError(f"malformed belief interval [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def belief_interval(d: DNumber, a: int) -> BeliefInterval:

@@ -10,10 +10,9 @@ open, the coefficient Pl({X}) is the primary output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import BeliefInterval, DNumber, belief_interval, pl
+from .core import BeliefInterval, DNumber, _Value, belief_interval, pl
 
 
 class UnknownModel(str, Enum):
@@ -25,13 +24,16 @@ class UnknownModel(str, Enum):
     LOG2 = "log2"                 # U = log2 |X|
 
 
-@dataclass(frozen=True)
-class TotalUncertainty:
+class TotalUncertainty(_Value):
     """The (KU, UU) pair; ``uu_evaluated`` is present when a model applies."""
 
-    ku: float
-    uu_coefficient: float
-    uu_evaluated: float | None = None
+    __match_args__ = ("ku", "uu_coefficient", "uu_evaluated")
+
+    def __init__(self, ku: float, uu_coefficient: float,
+                 uu_evaluated: float | None = None):
+        object.__setattr__(self, "ku", ku)
+        object.__setattr__(self, "uu_coefficient", uu_coefficient)
+        object.__setattr__(self, "uu_evaluated", uu_evaluated)
 
 
 def interval_distance_to_unit(interval: BeliefInterval) -> float:

@@ -5,7 +5,6 @@ discord at once. Each test below states one claim as an exact property of
 ``ku`` and ``uu_coefficient`` on the D numbers it concerns.
 """
 
-import dataclasses
 import random
 import string
 
@@ -27,7 +26,7 @@ def test_non_exclusiveness_raising_a_degree_never_lowers_pl_ku_or_uu(n):
         pair = rng.choice(sorted(frame.degrees))
         p = frame.degrees[pair]
         degrees = {**frame.degrees, pair: rng.choice([1.0, p + (1.0 - p) * rng.random()])}
-        raised = dn.DNumber(dataclasses.replace(frame, degrees=degrees), d.masses)
+        raised = dn.DNumber(frame.replace(degrees=degrees), d.masses)
         for a in range(1, frame.full_mask + 1):
             assert dn.bel(raised, a) == dn.bel(d, a)
             assert dn.pl(raised, a) >= dn.pl(d, a)

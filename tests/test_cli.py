@@ -509,16 +509,18 @@ class TestCheck:
         assert "|A| = 1 deviation" in capsys.readouterr().out
 
     def test_mutated_pl_fails(self, capsys, monkeypatch, tmp_path):
-        # drop the non-exclusivity factor from Pl: every focal set counts fully
+        # drop the non-exclusivity factor from Pl: every focal set counts fully;
+        # the first directory's parent is made too, the second exists by then
         monkeypatch.setattr(Frame, "nonexclusivity",
                             lambda self, a, b: 1.0)
-        code = cli.main(["check", "oracle", "--trials", "20", "--seed", "7",
-                         "--counterexample-dir", str(tmp_path / "cx")])
-        assert code == 2
-        assert "FAIL oracle" in capsys.readouterr().out
-        written = list((tmp_path / "cx").glob("oracle-*.json"))
-        assert written
-        json.loads(written[0].read_text(encoding="utf-8"))
+        for out in (tmp_path / "cx" / "deeper", tmp_path / "cx"):
+            code = cli.main(["check", "oracle", "--trials", "20", "--seed", "7",
+                             "--counterexample-dir", str(out)])
+            assert code == 2
+            assert "FAIL oracle" in capsys.readouterr().out
+            written = list(out.glob("oracle-*.json"))
+            assert written
+            json.loads(written[0].read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("counted, code", [
         (lambda m, a: m & a, 0),  # the rule itself: a focal set meeting A adds D(B)
@@ -742,16 +744,21 @@ class TestGen:
         assert cli.main(["validate", str(path)]) == 0
 
 
-# imports the CLI, runs measure and validate on argv[1], then reaches every
-# export; prints which lazy modules each step had loaded
+# imports the CLI, runs measure and validate on argv[1], checks that neither
+# added a module they need not pay for at start-up (site may have loaded
+# pathlib already), then reaches every export; prints which lazy modules
+# each step had loaded
 LAZY_IMPORTS = """
 import sys
+before = set(sys.modules)
 import dnumbers.cli
 lazy = ("dnumbers.oracle", "dnumbers.dst", "string")
 loaded = [[m for m in lazy if m in sys.modules]]
 for command in ("measure", "validate"):
     assert dnumbers.cli.main([command, sys.argv[1]]) == 0
     loaded.append([m for m in lazy if m in sys.modules])
+added = {"csv", "dataclasses", "inspect", "pathlib"} & (set(sys.modules) - before)
+assert not added, sorted(added)
 import dnumbers
 for name in dnumbers.__all__:
     getattr(dnumbers, name)

@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import itertools
 import math
 import pickle
@@ -229,7 +228,7 @@ class TestFrameInvariants:
     def test_derived_values_kept(self):
         f = dn.Frame(["a", "b"], None, {(0, 1): 0.5})
         derived = ["index", "size", "x_mask", "theta_mask", "full_mask"]
-        assert [field.name for field in dataclasses.fields(f)] == [
+        assert list(f.__match_args__) == [
             "elements", "unknown_cardinality", "degrees"]
         assert not any(isinstance(v, property) for v in vars(dn.Frame).values())
         assert list(f.index.items()) == [("a", 0), ("b", 1), ("X", 2)]
@@ -237,10 +236,10 @@ class TestFrameInvariants:
         with pytest.raises(TypeError):
             f.index["c"] = 3
         for name in derived:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(f, name, getattr(f, name))
             assert name not in repr(f)
-        wider = dataclasses.replace(f, elements=("b", "a", "c"))
+        wider = f.replace(elements=("b", "a", "c"))
         assert dict(wider.index) == {"b": 0, "a": 1, "c": 2, "X": 3}
         assert [wider.size, wider.x_mask, wider.theta_mask, wider.full_mask] == [
             3, 0b1000, 0b0111, 0b1111]
@@ -316,7 +315,7 @@ class TestAdjacencyOrder:
 
     def test_replace_reorders(self):
         f = dn.Frame(("a", "b", "c"), None, {(0, 1): 0.25, (0, 2): 0.75})
-        g = dataclasses.replace(f, degrees={(0, 1): 0.75, (0, 2): 0.25})
+        g = f.replace(degrees={(0, 1): 0.75, (0, 2): 0.25})
         assert_rows_strongest_first(g)
         assert list(f.adjacency[0]) == [2, 1] and list(g.adjacency[0]) == [1, 2]
 
@@ -592,7 +591,7 @@ class TestDNumberInvariants:
         f = exclusive("ab")
         d = dn.build_dnumber(f, [(f.theta_mask, 1.0)])
         assert d.completed and d.total_mass == 1.0
-        raw = dataclasses.replace(d, masses={1: 0.25})
+        raw = d.replace(masses={1: 0.25})
         assert raw.completed is False
         assert raw.total_mass == 0.25
         with pytest.raises(ValueError, match="completed"):
@@ -601,9 +600,9 @@ class TestDNumberInvariants:
     def test_derived_values_kept(self):
         # replace: test_replace_recomputes_derived_fields
         d = dn.DNumber(exclusive("ab"), {1: 0.25, 2: 0.5})
-        assert [field.name for field in dataclasses.fields(d)] == ["frame", "masses"]
+        assert list(d.__match_args__) == ["frame", "masses"]
         for name in ["completed", "total_mass"]:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(d, name, getattr(d, name))
             assert name not in repr(d)
         copied = pickle.loads(pickle.dumps(d))
@@ -664,15 +663,15 @@ class TestReadOnlyTables:
         assert rows == dn.Frame(parsed.elements, parsed.unknown_cardinality,
                                 parsed.degrees).adjacency
         assert parsed == frame and repr(parsed) == shown
-        assert "adjacency" not in {field.name for field in dataclasses.fields(parsed)}
-        other = dataclasses.replace(parsed, degrees={(0, 1): 0.5})
+        assert "adjacency" not in parsed.__match_args__
+        other = parsed.replace(degrees={(0, 1): 0.5})
         assert "adjacency" not in vars(other)
         assert other.adjacency == ({1: 0.5}, {0: 0.5}, {}, {}, {}, {})
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'adjacency'"):
             parsed.adjacency = ()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot delete field 'adjacency'"):
             del parsed.adjacency
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot delete field 'adjacency'"):
             del frame.adjacency
         assert parsed.adjacency is rows
 
@@ -688,6 +687,12 @@ class TestReadOnlyTables:
         f = dn.Frame(("a", "b"), 2, table)
         table[(0, 1)] = 1.0
         assert f.lookup(0, 1) == 0.3
+
+
+def one_value_of_each_type():
+    f = dn.Frame(("a", "b"), 2, {(0, 1): 0.5})
+    return [f, dn.DNumber(f, {1: 0.25, 3: 0.75}), dn.BeliefInterval(0.25, 0.5),
+            dn.TotalUncertainty(1.5, 0.25, 0.5)]
 
 
 class TestValueTypes:
@@ -713,11 +718,77 @@ class TestValueTypes:
                 == [(key, p.hex()) for key, p in d.frame.degrees.items()])
         assert "singleton_pl" not in vars(copied) and "adjacency" not in vars(copied.frame)
         assert copied.singleton_pl == pl
+        for value in (dn.BeliefInterval(0.25, 0.5), dn.TotalUncertainty(1.5, 0.25, 0.5)):
+            copied = round_trip(value)
+            assert copied == value and hash(copied) == hash(value) and copied is not value
 
     def test_replace_still_validates(self):
         f = dn.Frame(("a", "b"), 2, {(0, 1): 0.3})
         with pytest.raises(ValueError, match="degree 2.0"):
-            dataclasses.replace(f, degrees={(0, 1): 2.0})
+            f.replace(degrees={(0, 1): 2.0})
+
+    def test_fields_are_match_args(self):
+        f, d, interval, tu = one_value_of_each_type()
+        assert f.__match_args__ == ("elements", "unknown_cardinality", "degrees")
+        assert d.__match_args__ == ("frame", "masses")
+        assert interval.__match_args__ == ("lower", "upper")
+        assert tu.__match_args__ == ("ku", "uu_coefficient", "uu_evaluated")
+        match interval, tu:
+            case dn.BeliefInterval(lo, hi), dn.TotalUncertainty(known, coeff, value):
+                assert (lo, hi, known, coeff, value) == (0.25, 0.5, 1.5, 0.25, 0.5)
+            case _:
+                pytest.fail("positional patterns did not match")
+
+    def test_replace_rebuilds_through_the_constructor(self):
+        f, d, interval, tu = one_value_of_each_type()
+        for value in (f, d, interval, tu):
+            assert value.replace() == value and value.replace() is not value
+        assert interval.replace(upper=0.75) == dn.BeliefInterval(0.25, 0.75)
+        assert tu.replace(uu_evaluated=None) == dn.TotalUncertainty(1.5, 0.25)
+        with pytest.raises(ValueError, match=r"malformed belief interval \[0.75, 0.5\]"):
+            interval.replace(lower=0.75)
+        with pytest.raises(ValueError, match="total mass 1.5 exceeds 1"):
+            d.replace(masses={1: 0.75, 2: 0.75})
+        with pytest.raises(TypeError):
+            f.replace(size=3)
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")
+    def test_copy_replace(self):
+        f, d, interval, tu = one_value_of_each_type()
+        assert copy.replace(interval, upper=0.75) == dn.BeliefInterval(0.25, 0.75)
+        assert copy.replace(d, masses={1: 1.0}) == dn.DNumber(f, {1: 1.0})
+        with pytest.raises(ValueError, match="degree 2.0"):
+            copy.replace(f, degrees={(0, 1): 2.0})
+
+    def test_fields_and_derived_values_cannot_be_set_or_deleted(self):
+        f, d, interval, tu = one_value_of_each_type()
+        derived = {f: ["size", "index", "full_mask", "adjacency"],
+                   d: ["total_mass", "completed", "singleton_pl"],
+                   interval: [], tu: []}
+        for value, names in derived.items():
+            for name in [*value.__match_args__, *names, "unset"]:
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                    delattr(value, name)
+        assert (interval.lower, tu.ku, f.size) == (0.25, 1.5, 2)
+
+    def test_not_equal_to_its_field_tuple(self):
+        assert (dn.BeliefInterval(0.0, 1.0) == (0.0, 1.0)) is False
+        assert dn.BeliefInterval(0.0, 1.0) != (0.0, 1.0)
+        assert dn.TotalUncertainty(0.0, 1.0) != dn.BeliefInterval(0.0, 1.0)
+
+    def test_repr_names_each_field(self):
+        assert [repr(value) for value in one_value_of_each_type()] == [
+            "Frame(elements=('a', 'b'), unknown_cardinality=2, "
+            "degrees=mappingproxy({(0, 1): 0.5}))",
+            "DNumber(frame=Frame(elements=('a', 'b'), unknown_cardinality=2, "
+            "degrees=mappingproxy({(0, 1): 0.5})), masses=mappingproxy({1: 0.25, 3: 0.75}))",
+            "BeliefInterval(lower=0.25, upper=0.5)",
+            "TotalUncertainty(ku=1.5, uu_coefficient=0.25, uu_evaluated=0.5)",
+        ]
+        assert repr(dn.TotalUncertainty(1.5, 0.25)) == (
+            "TotalUncertainty(ku=1.5, uu_coefficient=0.25, uu_evaluated=None)")
 
 
 class TestComplete:
@@ -927,12 +998,12 @@ class TestSingletonPl:
         d = dn.build_dnumber(f, [(f.subset("a"), 1.0)])
         fresh = dn.build_dnumber(f, [(f.subset("a"), 1.0)])
         assert d.singleton_pl is d.singleton_pl
-        assert "singleton_pl" not in {field.name for field in dataclasses.fields(d)}
+        assert "singleton_pl" not in d.__match_args__
         assert d == fresh and repr(d) == repr(fresh)
         assert "singleton_pl" not in repr(d)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'singleton_pl'"):
             d.singleton_pl = (0.0, 0.0, 0.0)
-        assert dataclasses.replace(d, masses={f.subset("b"): 1.0}).singleton_pl == (
+        assert d.replace(masses={f.subset("b"): 1.0}).singleton_pl == (
             0.5, 1.0, 0.0)
 
 
@@ -942,6 +1013,15 @@ class TestLabelsOf:
         assert f.labels_of(0) == ()
         assert f.labels_of(0b1101) == ("a", "c", "X")
         assert f.labels_of(f.full_mask) == ("a", "b", "c", "X")
+
+    def test_wide_frame_in_one_pass(self):
+        f = exclusive([f"e{i}" for i in range(20_000)])
+        labels = (*f.elements, "X")
+        rng = random.Random(1)
+        for mask in (f.full_mask, f.x_mask | 1, rng.getrandbits(20_001),
+                     sum(1 << i for i in rng.sample(range(20_001), 50))):
+            assert f.labels_of(mask) == tuple(
+                [label for i, label in enumerate(labels) if mask >> i & 1])
 
     @pytest.mark.parametrize("mask", [-1, 0b110000, 1 << 10, (1 << 70) | 1])
     def test_mask_outside_frame_rejected(self, mask):
