@@ -120,14 +120,15 @@ def mass_error(mask: int, mass) -> str | None:
 class _Value:
     """An immutable value whose fields, in order, are ``__match_args__``.
 
-    What ``@dataclass(frozen=True)`` would give, without importing
-    ``dataclasses``, which ``measure`` and ``validate`` would pay for at
-    start-up: ``==`` on the field tuples of two instances of the same
-    class (else ``NotImplemented``), ``hash`` of the field tuple, a
-    ``repr`` naming each field, ``match`` patterns, and
-    :meth:`replace`. Setting or deleting any attribute raises
-    ``AttributeError``; a constructor stores its fields, and a derived
-    value, with ``object.__setattr__``.
+    The package's one value mechanism: ``==`` on the field tuples of two
+    instances of the same class (else ``NotImplemented``), a ``repr``
+    naming each field, ``match`` patterns, :meth:`replace`, and hashing and
+    pickling. A read-only table hashes as the ``frozenset`` of its items,
+    and ``pickle`` and ``copy.deepcopy`` rebuild through the constructor,
+    checks included, from the fields in order, each table as a ``dict``.
+    Setting or deleting any attribute raises ``AttributeError``; a
+    constructor stores its fields, and a derived value, with
+    ``object.__setattr__``.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -141,7 +142,13 @@ class _Value:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(tuple([frozenset(v.items()) if type(v) is MappingProxyType else v
+                           for v in self._fields()]))
+
+    def __reduce__(self):
+        """Rebuilt through the constructor; a derived value is not kept."""
+        return type(self), tuple([dict(v) if type(v) is MappingProxyType else v
+                                  for v in self._fields()])
 
     def __repr__(self):
         fields = ", ".join([f"{name}={getattr(self, name)!r}"
@@ -272,13 +279,6 @@ class Frame(_Value):
         object.__setattr__(self, "x_mask", 1 << x)
         object.__setattr__(self, "theta_mask", (1 << x) - 1)
         object.__setattr__(self, "full_mask", (2 << x) - 1)
-
-    def __hash__(self):
-        return hash((self.elements, self.unknown_cardinality, frozenset(self.degrees.items())))
-
-    def __reduce__(self):
-        """Rebuilt through the constructor, checked again; the rows are not kept."""
-        return Frame, (self.elements, self.unknown_cardinality, dict(self.degrees))
 
     @_computed_once  # read by every nonexclusivity call and the kernel
     def adjacency(self) -> tuple[Mapping[int, float], ...]:
@@ -425,13 +425,6 @@ class DNumber(_Value):
         object.__setattr__(self, "masses", MappingProxyType(masses))
         object.__setattr__(self, "total_mass", total)
         object.__setattr__(self, "completed", 1.0 - total <= MASS_TOL)
-
-    def __hash__(self):
-        return hash((self.frame, frozenset(self.masses.items())))
-
-    def __reduce__(self):
-        """Rebuilt through the constructor, checked again; ``singleton_pl`` is not kept."""
-        return DNumber, (self.frame, dict(self.masses))
 
     @_computed_once
     def singleton_pl(self) -> tuple[float, ...]:

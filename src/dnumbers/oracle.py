@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass, field, replace
 
 from . import dst, measures
 from .core import (
@@ -23,56 +22,62 @@ from .core import (
     BeliefInterval,
     DNumber,
     Frame,
+    _Value,
     belief_interval,
     build_dnumber,
     complete,
 )
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(_Value):
     """Settings of :func:`generate_raw`, checked when made.
 
     ``focal_count`` ``None`` stands for 3 focal sets, or all 2^N - 1
     nonempty subsets of Θ when there are fewer, and is replaced by that
-    count; ``gen`` and ``check`` both take it as their default.
+    count; ``gen`` and ``check`` both take it as their default. An
+    ``int`` field given a ``bool``, ``None`` or ``float`` raises ``ValueError``.
     """
 
-    frame_size: int = 3
-    focal_count: int | None = None
-    completeness: str = "random"      # complete | incomplete | random
-    exclusivity: str = "random-degrees"  # exclusive | random-degrees
-    seed: int = 0
+    __match_args__ = ("frame_size", "focal_count", "completeness", "exclusivity", "seed")
 
-    def __post_init__(self):
-        if not 1 <= self.frame_size <= ENUMERATION_CAP:
+    def __init__(self, frame_size: int = 3, focal_count: int | None = None,
+                 completeness: str = "random", exclusivity: str = "random-degrees",
+                 seed: int = 0):
+        for name, value in (("frame_size", frame_size), ("seed", seed)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not 1 <= frame_size <= ENUMERATION_CAP:
             raise ValueError(f"frame size must be in [1, {ENUMERATION_CAP}]")
-        if self.focal_count is None:
-            object.__setattr__(self, "focal_count", min(3, 2 ** self.frame_size - 1))
-        if self.focal_count < 1:
+        if focal_count is None:
+            focal_count = min(3, 2 ** frame_size - 1)
+        if type(focal_count) is not int:
+            raise ValueError(f"focal_count must be an int, got {focal_count!r}")
+        if focal_count < 1:
             raise ValueError("focal count must be at least 1")
-        if self.focal_count > 2 ** self.frame_size - 1:
-            raise ValueError(
-                f"focal count {self.focal_count} infeasible on a frame of "
-                f"size {self.frame_size}")
-        if self.completeness not in ("complete", "incomplete", "random"):
-            raise ValueError(f"bad completeness {self.completeness!r}")
-        if self.exclusivity not in ("exclusive", "random-degrees"):
-            raise ValueError(f"bad exclusivity {self.exclusivity!r}")
+        if focal_count > 2 ** frame_size - 1:
+            raise ValueError(f"focal count {focal_count} infeasible on a frame of "
+                             f"size {frame_size}")
+        if completeness not in ("complete", "incomplete", "random"):
+            raise ValueError(f"bad completeness {completeness!r}")
+        if exclusivity not in ("exclusive", "random-degrees"):
+            raise ValueError(f"bad exclusivity {exclusivity!r}")
+        for name, value in zip(self.__match_args__, (frame_size, focal_count,
+                                                     completeness, exclusivity, seed)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass
 class CheckReport:
-    """Outcome of a property run over generated or enumerated instances.
+    """Outcome of a property run over generated or enumerated instances, an accumulator.
 
     A suite hands each instance d with its context and violation function to
     :meth:`check`, which keeps each failing ``(d, context)`` in ``failures``.
     """
 
-    trials: int = 0
-    failures: list[tuple[DNumber, dict]] = field(default_factory=list)
-    max_violation: float = 0.0
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, trials: int = 0):
+        self.trials = trials
+        self.failures: list[tuple[DNumber, dict]] = []
+        self.max_violation = 0.0
+        self.notes: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -304,7 +309,7 @@ def check_degeneration(trials: int, config: GeneratorConfig) -> CheckReport:
     Instances are drawn complete and on an exclusive frame whatever
     ``config`` says, so that each one is a classical BPA.
     """
-    config = replace(config, completeness="complete", exclusivity="exclusive")
+    config = config.replace(completeness="complete", exclusivity="exclusive")
     return _run_trials(trials, config, degeneration_violation, 0.0)
 
 

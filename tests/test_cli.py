@@ -746,8 +746,9 @@ class TestGen:
 
 # imports the CLI, runs measure and validate on argv[1], checks that neither
 # added a module they need not pay for at start-up (site may have loaded
-# pathlib already), then reaches every export; prints which lazy modules
-# each step had loaded
+# pathlib already), then that check and gen added neither dataclasses nor
+# inspect, then reaches every export; prints which lazy modules each of the
+# first three steps had loaded
 LAZY_IMPORTS = """
 import sys
 before = set(sys.modules)
@@ -759,6 +760,11 @@ for command in ("measure", "validate"):
     loaded.append([m for m in lazy if m in sys.modules])
 added = {"csv", "dataclasses", "inspect", "pathlib"} & (set(sys.modules) - before)
 assert not added, sorted(added)
+import os
+for argv in (["check", "range", "--trials", "1"], ["gen", "--out", os.devnull]):
+    assert dnumbers.cli.main(argv) == 0
+    added = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+    assert not added, (argv[0], sorted(added))
 import dnumbers
 for name in dnumbers.__all__:
     getattr(dnumbers, name)

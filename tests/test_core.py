@@ -1,5 +1,6 @@
 import collections
 import copy
+import inspect
 import itertools
 import math
 import pickle
@@ -692,7 +693,8 @@ class TestReadOnlyTables:
 def one_value_of_each_type():
     f = dn.Frame(("a", "b"), 2, {(0, 1): 0.5})
     return [f, dn.DNumber(f, {1: 0.25, 3: 0.75}), dn.BeliefInterval(0.25, 0.5),
-            dn.TotalUncertainty(1.5, 0.25, 0.5)]
+            dn.TotalUncertainty(1.5, 0.25, 0.5),
+            oracle.GeneratorConfig(2, 2, "complete", "exclusive", 5)]
 
 
 class TestValueTypes:
@@ -718,7 +720,7 @@ class TestValueTypes:
                 == [(key, p.hex()) for key, p in d.frame.degrees.items()])
         assert "singleton_pl" not in vars(copied) and "adjacency" not in vars(copied.frame)
         assert copied.singleton_pl == pl
-        for value in (dn.BeliefInterval(0.25, 0.5), dn.TotalUncertainty(1.5, 0.25, 0.5)):
+        for value in one_value_of_each_type():
             copied = round_trip(value)
             assert copied == value and hash(copied) == hash(value) and copied is not value
 
@@ -728,20 +730,31 @@ class TestValueTypes:
             f.replace(degrees={(0, 1): 2.0})
 
     def test_fields_are_match_args(self):
-        f, d, interval, tu = one_value_of_each_type()
+        f, d, interval, tu, config = one_value_of_each_type()
         assert f.__match_args__ == ("elements", "unknown_cardinality", "degrees")
         assert d.__match_args__ == ("frame", "masses")
         assert interval.__match_args__ == ("lower", "upper")
         assert tu.__match_args__ == ("ku", "uu_coefficient", "uu_evaluated")
+        assert config.__match_args__ == ("frame_size", "focal_count", "completeness",
+                                         "exclusivity", "seed")
         match interval, tu:
             case dn.BeliefInterval(lo, hi), dn.TotalUncertainty(known, coeff, value):
                 assert (lo, hi, known, coeff, value) == (0.25, 0.5, 1.5, 0.25, 0.5)
             case _:
                 pytest.fail("positional patterns did not match")
 
+    def test_match_args_are_the_constructor_parameters(self):
+        # the generic __reduce__ passes the fields by position, replace by keyword
+        types = {type(value) for value in one_value_of_each_type()}
+        assert types == set(dn.core._Value.__subclasses__())
+        for cls in types:
+            names = tuple(inspect.signature(cls).parameters)
+            assert cls.__match_args__ == names, cls
+
     def test_replace_rebuilds_through_the_constructor(self):
-        f, d, interval, tu = one_value_of_each_type()
-        for value in (f, d, interval, tu):
+        values = one_value_of_each_type()
+        f, d, interval, tu, config = values
+        for value in values:
             assert value.replace() == value and value.replace() is not value
         assert interval.replace(upper=0.75) == dn.BeliefInterval(0.25, 0.75)
         assert tu.replace(uu_evaluated=None) == dn.TotalUncertainty(1.5, 0.25)
@@ -751,20 +764,22 @@ class TestValueTypes:
             d.replace(masses={1: 0.75, 2: 0.75})
         with pytest.raises(TypeError):
             f.replace(size=3)
+        with pytest.raises(ValueError, match="seed must be an int, got None"):
+            config.replace(seed=None)
 
     @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")
     def test_copy_replace(self):
-        f, d, interval, tu = one_value_of_each_type()
+        f, d, interval, tu, config = one_value_of_each_type()
         assert copy.replace(interval, upper=0.75) == dn.BeliefInterval(0.25, 0.75)
         assert copy.replace(d, masses={1: 1.0}) == dn.DNumber(f, {1: 1.0})
         with pytest.raises(ValueError, match="degree 2.0"):
             copy.replace(f, degrees={(0, 1): 2.0})
 
     def test_fields_and_derived_values_cannot_be_set_or_deleted(self):
-        f, d, interval, tu = one_value_of_each_type()
+        f, d, interval, tu, config = one_value_of_each_type()
         derived = {f: ["size", "index", "full_mask", "adjacency"],
                    d: ["total_mass", "completed", "singleton_pl"],
-                   interval: [], tu: []}
+                   interval: [], tu: [], config: []}
         for value, names in derived.items():
             for name in [*value.__match_args__, *names, "unset"]:
                 with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
@@ -786,6 +801,8 @@ class TestValueTypes:
             "degrees=mappingproxy({(0, 1): 0.5})), masses=mappingproxy({1: 0.25, 3: 0.75}))",
             "BeliefInterval(lower=0.25, upper=0.5)",
             "TotalUncertainty(ku=1.5, uu_coefficient=0.25, uu_evaluated=0.5)",
+            "GeneratorConfig(frame_size=2, focal_count=2, completeness='complete', "
+            "exclusivity='exclusive', seed=5)",
         ]
         assert repr(dn.TotalUncertainty(1.5, 0.25)) == (
             "TotalUncertainty(ku=1.5, uu_coefficient=0.25, uu_evaluated=None)")

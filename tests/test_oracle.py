@@ -122,6 +122,12 @@ class TestGenerate:
 
     @pytest.mark.parametrize("field,value,needle", [
         ("focal_count", 0, "at least 1"),
+        ("frame_size", 3.5, "frame_size must be an int, got 3.5"),
+        ("frame_size", True, "frame_size must be an int, got True"),
+        ("focal_count", 2.5, "focal_count must be an int, got 2.5"),
+        ("focal_count", True, "focal_count must be an int, got True"),
+        ("seed", None, "seed must be an int, got None"),
+        ("seed", False, "seed must be an int, got False"),
         ("completeness", "sometimes", "bad completeness"),
         ("exclusivity", "none", "bad exclusivity"),
     ])
