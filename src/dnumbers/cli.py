@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 validation failure, 2 property failure,
 3 I/O or usage error, 141 (128 + SIGPIPE) stdout closed by its reader.
 An argv that starts with a command builds that command's parser alone;
-the root parser, listing all four, parses any other argv (none, an
-unknown command, an option first) and one with arguments left over.
+the root, listing all four, prints help or a usage error for any other
+argv (none, an unknown command, an option first) or arguments left over.
 """
 
 from __future__ import annotations
@@ -209,8 +209,8 @@ def main(argv=None) -> int:
         if command is not None:
             args, extra = build_parser(command).parse_known_args(argv[1:])
         if command is None or extra:
-            # no command first, or arguments its parser left over: the root
-            # routes argv, or reports them under its own usage line
+            # no command first, or arguments left over: the root prints help or
+            # reports a usage error and exits; kept for an argparse that routes argv
             args = build_parser().parse_args(argv)
             command = args.command
         code = COMMANDS[command][2](args)

@@ -227,7 +227,6 @@ class Frame(_Value):
     by non-increasing degree, ties in the order of ``degrees``, filled
     from the table sorted once, the order :meth:`nonexclusivity` and
     :attr:`DNumber.singleton_pl` walk.
-    :meth:`lookup` reads ``degrees``, an independent route for the oracle.
     Instances are immutable, tables included: setting or deleting any
     attribute raises ``AttributeError``.
     """
@@ -287,13 +286,6 @@ class Frame(_Value):
         for (i, j), p in sorted(self.degrees.items(), key=itemgetter(1), reverse=True):
             rows[i][j] = rows[j][i] = p
         return tuple(map(MappingProxyType, rows))
-
-    def lookup(self, i: int, j: int) -> float:
-        """Stored singleton-pair degree; 1 on the diagonal, 0 if absent."""
-        if i == j:
-            return 1.0
-        key = (i, j) if i < j else (j, i)
-        return self.degrees.get(key, 0.0)
 
     def nonexclusivity(self, a: int, b: int) -> float:
         """Non-exclusivity degree between two nonempty subsets.

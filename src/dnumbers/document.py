@@ -222,9 +222,8 @@ def document_dict(d: DNumber) -> dict:
     frame = d.frame
     doc: dict = {"frame": list(frame.elements)}
 
-    x = frame.size
-    x_degrees = {frame.elements[i]: p
-                 for (i, j), p in sorted(frame.degrees.items()) if j == x}
+    x, elements, table = frame.size, frame.elements, sorted(frame.degrees.items())
+    x_degrees = {elements[i]: p for (i, j), p in table if j == x}
     unknown: dict = {}
     if frame.unknown_cardinality is not None:
         unknown["cardinality"] = frame.unknown_cardinality
@@ -233,8 +232,8 @@ def document_dict(d: DNumber) -> dict:
     if unknown:
         doc["unknown"] = unknown
 
-    pairs = [{"pair": [frame.elements[i], frame.elements[j]], "degree": p}
-             for (i, j), p in sorted(frame.degrees.items()) if j != x]
+    pairs = [{"pair": [elements[i], elements[j]], "degree": p}
+             for (i, j), p in table if j != x]
     if pairs:
         doc["non_exclusivity"] = pairs
 

@@ -32,10 +32,10 @@ from .core import (
 class GeneratorConfig(_Value):
     """Settings of :func:`generate_raw`, checked when made.
 
-    ``focal_count`` ``None`` stands for 3 focal sets, or all 2^N - 1
-    nonempty subsets of Θ when there are fewer, and is replaced by that
-    count; ``gen`` and ``check`` both take it as their default. An
-    ``int`` field given a ``bool``, ``None`` or ``float`` raises ``ValueError``.
+    ``focal_count`` ``None`` stands for 3 focal sets, or all 2^N - 1 nonempty
+    subsets of Θ when there are fewer, and is replaced by that count; ``gen``
+    and ``check`` both take it as their default. An ``int`` field given a
+    ``bool``, ``None`` or ``float``, or a negative seed, raises ``ValueError``.
     """
 
     __match_args__ = ("frame_size", "focal_count", "completeness", "exclusivity", "seed")
@@ -46,6 +46,8 @@ class GeneratorConfig(_Value):
         for name, value in (("frame_size", frame_size), ("seed", seed)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if seed < 0:  # random.Random seeds with |seed|, so -s would repeat s
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         if not 1 <= frame_size <= ENUMERATION_CAP:
             raise ValueError(f"frame size must be in [1, {ENUMERATION_CAP}]")
         if focal_count is None:
@@ -148,6 +150,16 @@ def generate(config: GeneratorConfig, rng: random.Random | None = None) -> DNumb
     return complete(generate_raw(config, rng))
 
 
+def literal_nonexclusivity(frame: Frame, a: int, b: int) -> float:
+    """Non-exclusivity by definition: 1 if the nonempty subsets share an element,
+    else the largest ``frame.degrees`` value over pairs (i in a, j in b), or 0."""
+    if a & b:
+        return 1.0
+    degrees, members = frame.degrees, list(iter_indices(b))
+    return max([degrees.get((i, j) if i < j else (j, i), 0.0)
+                for i in iter_indices(a) for j in members], default=0.0)
+
+
 def _check_enumerable(frame: Frame) -> None:
     if frame.size > ENUMERATION_CAP:
         raise ValueError(f"enumeration limited to frames of size {ENUMERATION_CAP}")
@@ -157,10 +169,10 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
     """Belief interval by literal definition.
 
     Bel walks the 2^|A| - 1 nonempty subsets of ``a`` and sums their
-    masses. Pl walks all focal sets and applies the two-branch rule (1 on
-    intersection, pairwise-max degree on disjointness, 0 for A = ∅) from the
-    stored singleton degrees: |B| x |A| :meth:`.Frame.lookup` calls for
-    each focal set B disjoint from ``a``. Both sums are taken with
+    masses. Pl walks all focal sets and weights each focal set B by
+    :func:`literal_nonexclusivity` (1 on intersection, the pairwise-max
+    degree over |B| x |A| pairs on disjointness, 0 for A = ∅), read from
+    the stored degrees. Both sums are taken with
     ``math.fsum`` and not clamped, so a total just above 1 shows as it does
     in :func:`.core.belief_interval`. A negative mask, or one with bits
     outside the frame, raises ``ValueError``.
@@ -175,12 +187,8 @@ def oracle_bel_pl(d: DNumber, a: int) -> BeliefInterval:
         subsets.append(masses.get(b, 0.0))
         b = (b - 1) & a
     lower = math.fsum(subsets)
-    lookup, members = d.frame.lookup, list(iter_indices(a))
-    upper = math.fsum([
-        mass if b & a
-        else max([lookup(i, j) for i in iter_indices(b) for j in members],
-                 default=0.0) * mass
-        for b, mass in masses.items()])
+    upper = math.fsum([mass if b & a else literal_nonexclusivity(d.frame, b, a) * mass
+                       for b, mass in masses.items()])
     return BeliefInterval(lower, upper)
 
 
@@ -273,7 +281,7 @@ def check_set_consistency(frame: Frame) -> CheckReport:
         d = DNumber(frame, {a: 1.0})  # complete as made
         size = a.bit_count()
         # from the stored degrees: Frame.nonexclusivity is what KU is checked on
-        degree_sum = math.fsum(max(frame.lookup(i, j) for j in iter_indices(a))
+        degree_sum = math.fsum(literal_nonexclusivity(frame, 1 << i, a)
                                for i in range(frame.size) if not a >> i & 1)
         report.trials += size > 1  # |A| = 1 is noted, not counted
         context = {"expected": size + degree_sum if size > 1 else degree_sum}

@@ -19,6 +19,14 @@ def _pair_names(n):
             for i in range(len(names)) for j in range(i + 1, len(names))]
 
 
+def make(labels, masses, degrees=(), cardinality=2):
+    """A frame with the given labels and degrees, and the completed D number
+    of the given masses on it, each keyed by its subset's labels."""
+    frame = dn.build_frame(labels, cardinality, degrees)
+    d = dn.build_dnumber(frame, [(frame.subset(s), m) for s, m in masses])
+    return frame, dn.complete(d)
+
+
 @st.composite
 def frames(draw, max_size=4):
     n = draw(st.integers(min_value=1, max_value=max_size))

@@ -342,25 +342,23 @@ class TestMeasure:
         assert "frame[1]" in captured.err and "masses[0]" in captured.err
 
     def test_wide_document_agrees_with_library(self, tmp_path, capsys):
-        # incomplete, sparse, and a share of the focal sets holding X
-        d = wide_dnumber(11, 64, 128, 0.05, 0.3, 0.6)
-        assert not d.completed and any(m & d.frame.x_mask for m in d.masses)
-        path = tmp_path / "wide.json"
-        path.write_text(dn.serialize_document(d), encoding="utf-8")
-        assert cli.main(["measure", str(path), "--output", "json-lines"]) == 0
-        *elements, summary = map(json.loads, capsys.readouterr().out.splitlines())
-        full = dn.complete(d)
-        terms = []
-        for i, row in enumerate(elements):
-            interval = dn.belief_interval(full, 1 << i)
-            term = 1.0 - dn.interval_distance_to_unit(interval)
-            assert row == {"element": f"e{i}", "bel": interval.lower,
-                           "pl": interval.upper, "term": term}
-            terms.append(term)
-        assert len(terms) == 64
-        assert summary["ku"] == math.fsum(terms) == dn.ku(full)
-        assert summary["uu_coefficient"] == dn.uu_coefficient(full)
-        assert summary["completion_mass"] == 1.0 - d.total_mass
+        # dense and complete; then incomplete, sparse, and a share of the
+        # focal sets holding X
+        for density, x_share, total in ((1.0, 0.0, 1.0), (0.05, 0.3, 0.6)):
+            d = wide_dnumber(11, 64, 128, density, x_share, total)
+            assert d.completed == (total == 1.0)
+            assert any(m & d.frame.x_mask for m in d.masses) == (x_share > 0.0)
+            path = tmp_path / f"wide-{density}.json"
+            path.write_text(dn.serialize_document(d), encoding="utf-8")
+            full = dn.complete(d)
+            rows = []
+            for i in range(64):
+                interval = dn.belief_interval(full, 1 << i)
+                rows.append((f"e{i}", interval.lower, interval.upper,
+                             1.0 - dn.interval_distance_to_unit(interval)))
+            assert dn.ku(full) == math.fsum(row[3] for row in rows)
+            assert_measured(str(path), capsys, rows, dn.ku(full), dn.uu_coefficient(full),
+                            0.0 if d.completed else 1.0 - d.total_mass)
 
     def test_singleton_heavy_sparse_document(self, tmp_path, capsys):
         # N=1000, 2% of the pairs (X pairs too), incomplete: one 500-element
@@ -379,13 +377,41 @@ class TestMeasure:
             for i in range(n + 1))
         path = tmp_path / "sparse.json"
         path.write_text(dn.serialize_document(d), encoding="utf-8")
-        assert cli.main(["measure", str(path), "--output", "json-lines"]) == 0
-        *elements, summary = map(json.loads, capsys.readouterr().out.splitlines())
-        assert [(row["bel"], row["pl"]) for row in elements] == [
-            (dn.bel(full, 1 << i), full.singleton_pl[i]) for i in range(n)]
-        assert summary["ku"] == dn.ku(full)
-        assert summary["uu_coefficient"] == full.singleton_pl[n]
-        assert summary["completion_mass"] == 1.0 - d.total_mass
+        rows = []
+        for i in range(n):
+            interval = dn.BeliefInterval(dn.bel(full, 1 << i), full.singleton_pl[i])
+            rows.append((f"e{i}", interval.lower, interval.upper,
+                         1.0 - dn.interval_distance_to_unit(interval)))
+        assert_measured(str(path), capsys, rows, dn.ku(full), full.singleton_pl[n],
+                        1.0 - d.total_mass)
+
+
+def assert_measured(path, capsys, rows, ku, uu, injected):
+    """``validate`` accepts ``path``, and ``measure`` prints each row (element,
+    bel, pl, term), KU, the UU coefficient and the completion mass in every
+    output: exactly in json-lines and csv, which prints the rows alone, and to
+    seven decimals in the table."""
+    assert cli.main(["validate", path]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    out = {}
+    for fmt in ("json-lines", "csv", "table"):
+        assert cli.main(["measure", path, "--output", fmt]) == 0
+        out[fmt] = capsys.readouterr().out.splitlines()
+    *elements, summary = map(json.loads, out["json-lines"])
+    assert elements == [{"element": e, "bel": lo, "pl": hi, "term": term}
+                        for e, lo, hi, term in rows]
+    assert summary == {"ku": ku, "uu_coefficient": uu, "uu_evaluated": None,
+                       "completion_mass": injected}
+    header, *lines = csv.reader(out["csv"])
+    assert header == ["element", "bel", "pl", "term"]
+    assert [(e, *map(float, values)) for e, *values in lines] == rows
+    table = out["table"]
+    assert [line.split() for line in table[:len(rows) + 1]] == [
+        ["element", "bel", "pl", "term"],
+        *([e, *(f"{v:.7f}" for v in values)] for e, *values in rows)]
+    assert table[len(rows) + 1:] == [
+        "", *([f"auto-completed: mass {injected:.7f} assigned to {{X}}"] if injected else []),
+        f"KU = {ku:.7f}", f"UU coefficient = {uu:.7f}", f"TU = ({ku:.7f}, {uu:.7f})"]
 
 
 def x_pl_zero_mutant():
@@ -541,7 +567,7 @@ class TestCheck:
 
     def test_mutated_adjacency_fails_oracle(self, capsys, monkeypatch):
         # drop every pair with X from the adjacency but not from ``degrees``,
-        # which the oracle reads through ``lookup``
+        # which the oracle reads through ``literal_nonexclusivity``
         rows = Frame.adjacency.func
 
         def without_x(self):
@@ -826,9 +852,12 @@ class TestUsage:
         missing = str(tmp_path / "missing" / "d.json")
         argvs = [*([doc_path(VACUOUS) if arg == "{path}" else arg for arg in argv]
                    for argv in USAGE_ARGVS),
-                 ["validate", missing], ["measure", missing], ["gen", "--out", missing]]
+                 ["validate", missing], ["measure", missing], ["gen", "--out", missing],
+                 # random.Random seeds with |seed|, so -1 would repeat seed 1
+                 ["gen", "--seed", "-1"], ["check", "set-consistency", "--seed", "-1"]]
         assert [cli.main(argv) for argv in argvs] == [
             0 if "-h" in argv else 3 for argv in argvs]
+        assert capsys.readouterr().err.count("error: seed must be nonnegative, got -1\n") == 2
 
     @pytest.mark.parametrize("size", ["0", "7"])
     def test_frame_size_out_of_range_exits_3(self, size, capsys):
@@ -878,7 +907,9 @@ USAGE_ARGVS = [[], ["-h"], ["bogus"], ["-x", "measure"],
                ["validate", "{path}", "extra"], ["check", "range", "--trials"],
                ["gen", "--frame-size", "x"], ["measure", "{path}", "--out", "csv", "--bogus"],
                ["measure", "{path}", "--", "x"], ["measure"],
-               ["check", "all", "--trials", "5", "range"]]
+               ["check", "all", "--trials", "5", "range"],
+               # "--" first: the root takes "--" for the command, an invalid choice
+               ["--", "measure", "{path}"]]
 
 
 def _exit_outcome(argv, capsys):

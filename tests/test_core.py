@@ -16,7 +16,7 @@ from hypothesis import given, settings
 import dnumbers as dn
 from dnumbers import dst, oracle
 from dnumbers.core import MASS_TOL, cardinality_error, label_error, mass_error
-from dnumbers.oracle import iter_indices
+from dnumbers.oracle import iter_indices, literal_nonexclusivity
 
 from conftest import BAD_MASS_IDS, BAD_MASSES, completed_dnumbers, raw_dnumbers
 
@@ -73,7 +73,7 @@ class TestBuildFrame:
 
     def test_degree_table_bounds_accepted(self):
         f = dn.Frame(("a", "b"), 2, {(0, 2): 1.0, (1, 2): 1e-300})
-        assert f.nonexclusivity(f.subset("ab"), f.x_mask) == f.lookup(0, 2) == 1.0
+        assert f.nonexclusivity(f.subset("ab"), f.x_mask) == f.degrees[(0, 2)] == 1.0
 
     def test_zero_degree_dropped(self):
         # a 0 is exclusive, as an absent pair is: the table keeps neither
@@ -88,7 +88,7 @@ class TestBuildFrame:
 
     def test_degrees_symmetric(self):
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
-        assert f.lookup(0, 1) == f.lookup(1, 0) == 0.3
+        assert literal_nonexclusivity(f, 1, 2) == literal_nonexclusivity(f, 2, 1) == 0.3
 
     def test_duplicate_label(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -112,12 +112,12 @@ class TestBuildFrame:
 
     def test_self_degree_is_one(self):
         f = exclusive("ab")
-        assert f.lookup(0, 0) == 1.0
-        assert f.lookup(f.size, f.size) == 1.0
+        assert literal_nonexclusivity(f, 1, 1) == 1.0
+        assert literal_nonexclusivity(f, f.x_mask, f.x_mask) == 1.0
 
     def test_x_pair_allowed(self):
         f = dn.build_frame("ab", None, [(("a", "X"), 0.7)])
-        assert f.lookup(0, f.size) == 0.7
+        assert f.degrees[(0, f.size)] == 0.7
         assert f.unknown_cardinality is None
 
     @pytest.mark.parametrize("first,second", [(0.0, 0.5), (0.5, 0.0)])
@@ -194,7 +194,7 @@ class TestFrameInvariants:
             pass
 
         f = dn.Frame(("a", "b"), None, {(0, 1): Degree(0.5)})
-        assert type(f.lookup(0, 1)) is float
+        assert type(f.degrees[(0, 1)]) is float
         assert f.adjacency[0][1] == 0.5 and f.nonexclusivity(1, 2) == 0.5
         # bool is an int subclass, and no number
         with pytest.raises(ValueError, match=r"degree True for pair \(0, 1\) outside"):
@@ -223,7 +223,8 @@ class TestFrameInvariants:
         f = dn.Frame(("a", "b", "c"), None, {(0, 1): 1, (1, 3): Degree(0.5), (0, 2): 0})
         assert f == dn.Frame(("a", "b", "c"), None, {(0, 1): 1.0, (1, 3): 0.5})
         values = [*f.degrees.values(), *(p for row in f.adjacency for p in row.values()),
-                  *(f.lookup(i, j) for i in range(4) for j in range(4))]
+                  *(literal_nonexclusivity(f, 1 << i, 1 << j)
+                    for i in range(4) for j in range(4))]
         assert {type(p) for p in values} == {float}
 
     def test_derived_values_kept(self):
@@ -278,8 +279,8 @@ def assert_rows_strongest_first(f):
         entries = [((i, j) if i < j else (j, i), p) for j, p in row.items()]
         for (a, p), (b, q) in itertools.pairwise(entries):
             assert p > q or (p == q and order.index(a) < order.index(b))
-        assert dict(row) == {j: f.lookup(i, j) for j in range(f.size + 1)
-                             if j != i and f.lookup(i, j)}
+        assert dict(row) == {j: p for j in range(f.size + 1) if j != i
+                             and (p := literal_nonexclusivity(f, 1 << i, 1 << j))}
 
 
 class TestAdjacencyOrder:
@@ -381,9 +382,7 @@ class TestNonexclusivity:
         f = dn.build_frame("abc", 2, [(("a", "c"), 0.2), (("b", "c"), 0.5)])
         assert f.nonexclusivity(f.subset("ab"), f.subset("c")) == 0.5
         # must match enumeration over singleton pairs
-        brute = max(f.lookup(i, j)
-                    for i in iter_indices(f.subset("ab"))
-                    for j in iter_indices(f.subset("c")))
+        brute = literal_nonexclusivity(f, f.subset("ab"), f.subset("c"))
         assert f.nonexclusivity(f.subset("ab"), f.subset("c")) == brute
 
     def test_empty_subset_rejected(self):
@@ -405,8 +404,8 @@ class TestNonexclusivity:
     @given(st.integers(1, 64), st.sampled_from([0.05, 0.5, 1.0]),
            st.integers(0, 2 ** 32), st.data())
     def test_equals_max_over_stored_pairs(self, n, density, seed, data):
-        # the literal definition over ``lookup``, which reads ``degrees``,
-        # not the adjacency; on intersecting sets the diagonal gives 1
+        # the literal definition, which reads ``degrees``, not the
+        # adjacency; on intersecting sets it gives 1
         rng = random.Random(seed)
         f = dn.Frame(tuple(f"e{i}" for i in range(n)), None, {
             (i, j): min(rng.random() * 1.1, 1.0) or 1.0  # 1 in 11 exactly 1
@@ -420,7 +419,7 @@ class TestNonexclusivity:
         b = data.draw(masks, label="b")
         if data.draw(st.booleans(), label="disjoint") and b & ~a:
             b &= ~a
-        literal = max(f.lookup(i, j) for i in iter_indices(a) for j in iter_indices(b))
+        literal = literal_nonexclusivity(f, a, b)
         assert f.nonexclusivity(a, b) == f.nonexclusivity(b, a) == literal
 
     @pytest.mark.parametrize("merge", [
@@ -634,7 +633,7 @@ class TestReadOnlyTables:
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
         with pytest.raises(TypeError):
             f.degrees[(0, 1)] = 1.0
-        assert f.lookup(0, 1) == 0.3
+        assert f.degrees[(0, 1)] == 0.3
 
     def test_adjacency_read_only(self):
         f = dn.build_frame("ab", 2, [(("a", "b"), 0.3)])
@@ -687,7 +686,7 @@ class TestReadOnlyTables:
         table = {(0, 1): 0.3}
         f = dn.Frame(("a", "b"), 2, table)
         table[(0, 1)] = 1.0
-        assert f.lookup(0, 1) == 0.3
+        assert f.degrees[(0, 1)] == 0.3
 
 
 def one_value_of_each_type():
@@ -947,11 +946,9 @@ def _reference_oracle(d, a):
     while b:
         subsets.append(masses.get(b, 0.0))
         b = (b - 1) & a
-    lookup, members = d.frame.lookup, list(iter_indices(a))
-    upper = math.fsum(
-        mass if b & a
-        else max(lookup(i, j) for i in iter_indices(b) for j in members) * mass
-        for b, mass in masses.items())
+    frame = d.frame
+    upper = math.fsum(mass if b & a else literal_nonexclusivity(frame, b, a) * mass
+                      for b, mass in masses.items())
     return math.fsum(subsets), upper
 
 

@@ -58,8 +58,8 @@ def test_full_document():
         "masses": [{"set": ["a"], "mass": 0.5}, {"set": ["X"], "mass": 0.5}],
     }))
     assert frame.unknown_cardinality == 3
-    assert frame.lookup(0, 1) == 0.3
-    assert frame.lookup(1, frame.size) == 0.2
+    assert frame.degrees[(0, 1)] == 0.3
+    assert frame.degrees[(1, frame.size)] == 0.2
     assert d.masses[frame.x_mask] == 0.5
 
 
@@ -69,7 +69,7 @@ def test_x_pair_in_top_level_list():
         "non_exclusivity": [{"pair": ["a", "X"], "degree": 0.4}],
         "masses": [{"set": ["a"], "mass": 1}],
     }))
-    assert frame.lookup(0, frame.size) == 0.4
+    assert frame.degrees[(0, frame.size)] == 0.4
 
 
 REJECTIONS = [
@@ -212,7 +212,7 @@ def test_repeated_equal_degree_accepted():
         "non_exclusivity": [{"pair": ["X", "a"], "degree": 0.5}],
         "masses": [{"set": ["a"], "mass": 1}],
     }))
-    assert frame.lookup(0, frame.size) == 0.5
+    assert frame.degrees[(0, frame.size)] == 0.5
 
 
 def test_all_violations_reported():

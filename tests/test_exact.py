@@ -32,7 +32,7 @@ from hypothesis import given, settings
 
 import dnumbers as dn
 from dnumbers import oracle
-from dnumbers.oracle import iter_indices
+from dnumbers.oracle import literal_nonexclusivity
 
 U = Fraction(1, 2 ** 53)
 
@@ -52,10 +52,8 @@ def exact_bel(d, a):
 
 
 def exact_pl(d, a):
-    lookup = d.frame.lookup
     return sum((Fraction(v) if m & a else Fraction(v) * Fraction(
-        max(lookup(i, j) for i in iter_indices(m) for j in iter_indices(a)))
-        for m, v in d.masses.items()), Fraction(0))
+        literal_nonexclusivity(d.frame, m, a)) for m, v in d.masses.items()), Fraction(0))
 
 
 def decimal_ku(d):

@@ -9,13 +9,7 @@ import dnumbers as dn
 from dnumbers import dst, measures, oracle
 from dnumbers.measures import UnknownModel
 
-from conftest import completed_dnumbers
-
-
-def make(labels, masses, degrees=(), cardinality=2):
-    frame = dn.build_frame(labels, cardinality, degrees)
-    d = dn.build_dnumber(frame, [(frame.subset(s), m) for s, m in masses])
-    return frame, dn.complete(d)
+from conftest import completed_dnumbers, make
 
 
 class TestIntervalDistance:

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 import dnumbers as dn
 from dnumbers import document, dst, oracle
 
-from conftest import completed_dnumbers
-
-
-def make(labels, masses, degrees=()):
-    frame = dn.build_frame(labels, 2, degrees)
-    d = dn.build_dnumber(frame, [(frame.subset(s), m) for s, m in masses])
-    return frame, dn.complete(d)
+from conftest import completed_dnumbers, make
 
 
 class TestOracleBelPl:
@@ -128,6 +122,7 @@ class TestGenerate:
         ("focal_count", True, "focal_count must be an int, got True"),
         ("seed", None, "seed must be an int, got None"),
         ("seed", False, "seed must be an int, got False"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
         ("completeness", "sometimes", "bad completeness"),
         ("exclusivity", "none", "bad exclusivity"),
     ])
