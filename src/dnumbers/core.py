@@ -117,6 +117,15 @@ def mass_error(mask: int, mass) -> str | None:
     return f"mass must be a nonnegative number no greater than 1, got {mass!r}"
 
 
+def _iter(values, name: str):
+    """An iterator over ``values``, or ``ValueError`` naming ``name`` and
+    the type of ``values`` when they are not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError(f"{name} {type(values).__name__} are not iterable") from None
+
+
 class _Value:
     """An immutable value whose fields, in order, are ``__match_args__``.
 
@@ -238,11 +247,7 @@ class Frame(_Value):
         if isinstance(elements, (set, frozenset)):
             raise ValueError(f"elements {type(elements).__name__} "
                              f"have no fixed order")
-        try:
-            elements = tuple(elements)
-        except TypeError:
-            raise ValueError(f"elements {type(elements).__name__} "
-                             f"are not iterable") from None
+        elements = tuple(_iter(elements, "elements"))
         if not elements:
             raise ValueError("a frame needs at least one element")
         index = {}
@@ -360,17 +365,17 @@ def build_frame(labels, unknown_cardinality=None, degrees=()) -> Frame:
 
     ``unknown_cardinality`` is ``None`` for an unknown size.
     The labels and the cardinality are checked first, then ``degrees``, an
-    iterable of ((label_a, label_b), p) entries; labels may include the
-    reserved "X", read through ``Frame.index``. An entry that is not a
-    (pair, p) tuple or list, or a pair that breaks a :func:`pair_errors`
-    rule, raises the first reason, p unconverted: so "0.3", ``True`` and
-    a pair naming one label twice are rejected. The symmetric closure is taken, and
+    iterable of ((label_a, label_b), p) entries (else ``ValueError``);
+    labels may include the reserved "X", read through ``Frame.index``. An
+    entry that is not a (pair, p) tuple or list, or a pair that breaks a
+    :func:`pair_errors` rule, raises the first reason, p unconverted: so
+    "0.3", ``True`` and a pair naming one label twice are rejected. The symmetric closure is taken, and
     :class:`Frame` drops the zeros and stores each degree as a ``float``.
     """
     frame = Frame(labels, unknown_cardinality, {})
     given: dict[tuple[int, int], float] = {}
     entries = ((None, *entry) if isinstance(entry, (tuple, list)) and len(entry) == 2
-               else (None, None, None) for entry in degrees)
+               else (None, None, None) for entry in _iter(degrees, "degrees"))
     for _, reason in pair_errors(frame.index, given, entries):
         raise ValueError(reason)
     return frame.replace(degrees=given)
@@ -474,8 +479,9 @@ class DNumber(_Value):
 def build_dnumber(frame: Frame, entries) -> DNumber:
     """Build a D number from (mask, mass) entries that may repeat a mask.
 
-    Each entry is checked for what a merge of duplicate subsets would
-    hide, before the merge: it must unpack to a (mask, mass) pair, its
+    ``entries`` that are not iterable raise ``ValueError``. Each entry is
+    checked for what a merge of duplicate subsets would hide, before the
+    merge: it must unpack to a (mask, mass) pair, its
     mask must be an ``int``, not a ``bool`` (``1.0`` and ``True`` would
     merge into the key ``1``), and its mass must pass :func:`mass_error`.
     Each raises ``ValueError`` with its reason, so ``True``, ``"0.5"``
@@ -486,7 +492,7 @@ def build_dnumber(frame: Frame, entries) -> DNumber:
     ``oracle.generate_raw``'s do.
     """
     merged: dict[int, float] = {}
-    for entry in entries:
+    for entry in _iter(entries, "entries"):
         try:
             mask, mass = entry
         except (TypeError, ValueError):

@@ -13,9 +13,10 @@ Schema (all names fixed):
 
 ``unknown`` and ``non_exclusivity`` are optional, ``unknown`` holds no
 keys but ``cardinality`` and ``non_exclusivity``, and each mass and pair
-entry holds exactly its two keys. The root holds no keys but these four
-and ``check``, under which ``dnumbers check`` writes what a
-counterexample was checked with; nothing under ``check`` is read. Degrees
+entry holds exactly its two keys; none of these objects repeats a key.
+The root holds no keys but these four and ``check``, under which
+``dnumbers check`` writes what a counterexample was checked with;
+nothing under ``check`` is read. Degrees
 involving the unknown element live under ``unknown.non_exclusivity`` as a
 label-to-degree mapping; pairs naming "X" in the top-level list are also
 accepted on input.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 from .core import (
     MASS_TOL,
@@ -61,8 +63,11 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     ``unknown.non_exclusivity['a']``, ``non_exclusivity[2]``, ``masses[1]``,
     ``"unknown"``), an unknown key of an entry that has both its fields is
     named in it (``masses[1]['mas']``), and an unknown root key is named as
-    a JSON string (``"non_exclusivty"``); a second, different degree for
-    one pair is reported at the later entry. The frame must be a nonempty
+    a JSON string (``"non_exclusivty"``); a key repeated in an object the
+    schema reads is named in the same way (``"frame": repeated key``,
+    ``masses[0]['mass']: repeated key``), where ``json.loads`` alone would
+    keep its last value; a second, different degree for one pair is
+    reported at the later entry. The frame must be a nonempty
     list of labels, each passing :func:`label_error`, the rules
     :class:`Frame` holds. ``unknown`` may hold only ``cardinality``, an
     integer from 2 to ``sys.float_info.max`` (:func:`cardinality_error`),
@@ -108,7 +113,8 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
 
     labels = doc.get("frame")
     if not (labels and type(labels) is list and all(type(x) is str for x in labels)):
-        raise DocumentError([*errors, '"frame" must be a nonempty list of strings'])
+        raise DocumentError([*errors, '"frame" must be a nonempty list of strings',
+                             *_repeated_key_errors(json.loads(text, object_pairs_hook=tuple))])
     index = {X_LABEL: len(labels)}  # a repeated label keeps its first index
     for k, label in enumerate(labels):
         if reason := label_error(label, index):
@@ -131,12 +137,13 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
                       f"unknown label {X_LABEL!r}")
     # (i, j), i < j -> degree; zeros too, so a conflict shows in either order
     degrees: dict[tuple[int, int], float] = {}
+    pairs = doc.get("non_exclusivity", [])
     for name, entries in (
             ("unknown.non_exclusivity", ((label, [label, X_LABEL], p)
                                          for label, p in x_degrees.items()
                                          if label != X_LABEL)),
-            ("non_exclusivity", _entries(errors, doc.get("non_exclusivity", []),
-                                         "non_exclusivity", "pair", "degree"))):
+            ("non_exclusivity", _entries(errors, pairs, "non_exclusivity",
+                                         "pair", "degree"))):
         for key, error in pair_errors(index, degrees, entries):
             errors.append(f"{name}[{key!r}]: {error}")
 
@@ -162,6 +169,15 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     if total > 1.0 + MASS_TOL:
         errors.append(f"total mass {total} exceeds 1")
 
+    # each object member puts one ":" outside strings, and with no error each
+    # entry holds just its two keys: so as many ":" as keys read means no
+    # object the schema reads repeats a key. Else decode again, each object
+    # as the tuple of its pairs: at the first decode's stack depth and
+    # through C's tuple, not a Python hook, so it passes the recursion limit
+    # only where the first decode did
+    if errors or text.count(":") != (len(doc) + len(unknown) + len(x_degrees)
+                                     + 2 * (len(pairs) + len(raw_masses))):
+        errors += _repeated_key_errors(json.loads(text, object_pairs_hook=tuple))
     if errors:
         raise DocumentError(errors)
 
@@ -171,6 +187,32 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     except ValueError as exc:
         raise DocumentError([str(exc)]) from None
     return frame, d
+
+
+def _repeated_key_errors(root: tuple) -> list[str]:
+    """A located error for each key repeated in an object the schema reads
+    (the root, ``unknown``, ``unknown.non_exclusivity`` and each object
+    entry of ``non_exclusivity`` and ``masses``), in a document decoded with
+    each object as the tuple of its (key, value) pairs. Nothing under
+    ``check`` is read, so a key repeated there is no error."""
+    def members(obj) -> dict:  # the value json.loads keeps for each key
+        return dict(obj) if type(obj) is tuple else {}
+
+    def repeated(obj) -> list[str]:
+        counts = Counter(key for key, _ in obj) if type(obj) is tuple else {}
+        return [key for key, count in counts.items() if count > 1]
+
+    errors = [f"{json.dumps(key)}: repeated key" for key in repeated(root)]
+    top = members(root)
+    objects = [("unknown", top.get("unknown")),
+               ("unknown.non_exclusivity",
+                members(top.get("unknown")).get("non_exclusivity"))]
+    for name in ("non_exclusivity", "masses"):
+        if type(entries := top.get(name)) is list:
+            objects += ((f"{name}[{k}]", entry) for k, entry in enumerate(entries))
+    for name, obj in objects:
+        errors += (f"{name}[{key!r}]: repeated key" for key in repeated(obj))
+    return errors
 
 
 def _object(errors: list[str], value, name: str) -> dict:

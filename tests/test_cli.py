@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,7 +232,46 @@ class TestValidate:
         assert captured.err == "non_exclusivity[0]: pair names 'a' twice\n"
 
     def test_missing_file(self, tmp_path, capsys):
-        assert cli.main(["validate", str(tmp_path / "nope.json")]) == 3
+        # an I/O error: exit 3, nothing on stdout and the reason on stderr
+        for command in ("validate", "measure"):
+            code, out, err = _exit_outcome([command, str(tmp_path / "nope.json")], capsys)
+            assert (code, out) == (3, "")
+            assert err.splitlines()[0].startswith("error: ")
+
+    def test_repeated_or_stray_key_exits_1_at_its_location(self, tmp_path, capsys):
+        # json.loads alone keeps the last value of a repeated key
+        path = tmp_path / "d.json"
+        for text, errors in [
+                ('{"frame": ["a"], "frame": ["b"], "masses": [{"set": ["b"], "mass": 1}]}',
+                 ['"frame": repeated key']),
+                ('{"frame": ["a"], "unknown": {"cardinality": 2, "cardinality": 3}, '
+                 '"masses": [{"set": ["a"], "mass": 1}]}',
+                 ["unknown['cardinality']: repeated key"]),
+                ('{"frame": ["a"], "masses": [{"set": ["a"], "mass": 0.2, "mass": 0.9}, '
+                 '{"set": ["z"], "mass": 0.1}]}',
+                 ["masses[1]: unknown label 'z'", "masses[0]['mass']: repeated key"]),
+                ('{"frame": ["a"], "unknown": {"non_exclusivity": {"a": 0.2, "a": 0.9}}, '
+                 '"masses": [{"set": ["a"], "mass": 1}]}',
+                 ["unknown.non_exclusivity['a']: repeated key"]),
+                # a key beyond the entry's two fields
+                ('{"frame": ["a"], "masses": [{"set": ["a"], "mass": 1, "mas": 0.5}]}',
+                 ["masses[0]['mas']: unknown key; expected \"set\" and \"mass\""])]:
+            path.write_text(text, encoding="utf-8")
+            for command in ("validate", "measure"):
+                assert _exit_outcome([command, str(path)], capsys) == (
+                    1, "", "".join(f"{error}\n" for error in errors)), text
+        # a ":" in a label and a "check" key each make the ":" count differ
+        # from the keys read, so these are decoded twice and keep their
+        # values; nothing under "check" is read, so a key repeated there is
+        # no error
+        frame = dn.build_frame(["a:b", "c"], 2, [(("a:b", "X"), 0.5)])
+        d = dn.build_dnumber(frame, [(frame.subset(["a:b"]), 0.75)])
+        assert dn.parse_document(dn.serialize_document(d)) == (frame, d)
+        doc = json.loads(COUNTEREXAMPLE_GOLDEN)
+        doc.pop("check")
+        for text in (COUNTEREXAMPLE_GOLDEN,
+                     COUNTEREXAMPLE_GOLDEN.replace('"trial": 0,', '"trial": 0, "trial": 1,')):
+            assert dn.parse_document(text) == dn.parse_document(json.dumps(doc))
 
 
 class TestMeasure:
@@ -525,10 +565,13 @@ class TestCheck:
         assert "|A| = 1 deviation" in out
 
     @pytest.mark.parametrize("size", sorted(CHECK_GOLDEN))
-    def test_golden_output(self, size, capsys):
+    def test_golden_output(self, size, capsys, tmp_path):
+        # a green run writes no counterexample, so the directory is never made
         assert cli.main(["check", "all", "--trials", "100", "--seed", "1",
-                         "--frame-size", str(size)]) == 0
+                         "--frame-size", str(size),
+                         "--counterexample-dir", str(tmp_path / "cx")]) == 0
         assert capsys.readouterr().out == CHECK_GOLDEN[size]
+        assert not (tmp_path / "cx").exists()
 
     def test_set_consistency_reports_deviation(self, capsys):
         assert cli.main(["check", "set-consistency", "--seed", "1"]) == 0
@@ -764,10 +807,28 @@ class TestGen:
             {"set": ["a", "b", "c"], "mass": 0.3548673917262141},
         ]
 
-    def test_generated_validates(self, tmp_path):
-        path = tmp_path / "g.json"
-        assert cli.main(["gen", "--seed", "5", "--out", str(path)]) == 0
-        assert cli.main(["validate", str(path)]) == 0
+    def test_generated_validates(self, tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        # gen writes |X| = 2, so every model that reads |X| evaluates
+        measures = [*(("coefficient", ["--subsets", "all", "--output", fmt])
+                      for fmt in ("table", "csv", "json-lines")),
+                    *((model, ["--unknown-model", model, "--output", "json-lines"])
+                      for model in ("unit", "cardinality", "log2"))]
+        # the default frame size, then every enumerable one at seed 1
+        for gen in (["--seed", "5"],
+                    *(["--frame-size", str(n), "--seed", "1"] for n in range(1, 7))):
+            assert cli.main(["gen", *gen, "--out", path]) == 0
+            assert _exit_outcome(["validate", path], capsys) == (0, "ok\n", "")
+            d = dn.complete(dn.parse_document(Path(path).read_bytes())[1])
+            for model, argv in measures:
+                code, out, err = _exit_outcome(["measure", path, *argv], capsys)
+                assert (code, err) == (0, ""), (gen, argv)
+                if argv[-1] == "json-lines":
+                    summary = json.loads(out.splitlines()[-1])
+                    tu = dn.total_uncertainty(d, model)
+                    assert (summary["ku"], summary["uu_coefficient"],
+                            summary["uu_evaluated"]) == (
+                        tu.ku, tu.uu_coefficient, tu.uu_evaluated), (gen, argv)
 
 
 # imports the CLI, runs measure and validate on argv[1], checks that neither
@@ -883,11 +944,9 @@ class TestUsage:
         # Pl({X}) passes 1 by less than MASS_TOL at the largest cardinality
         path = doc_path({"frame": ["a"], "unknown": {"cardinality": int(sys.float_info.max)},
                          "masses": [{"set": ["a", "X"], "mass": 1.0000000005}]})
-        assert cli.main(["measure", path, "--unknown-model", "cardinality",
-                         "--output", fmt]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "'cardinality'" in captured.err and "float range" in captured.err
+        assert _exit_outcome(["measure", path, "--unknown-model", "cardinality",
+                              "--output", fmt], capsys) == (
+            3, "", "error: model 'cardinality' evaluates UU beyond float range\n")
 
     def test_all_subsets_beyond_cap_exits_3(self, doc_path, capsys):
         path = doc_path({"frame": list("abcdefg"),
@@ -927,6 +986,14 @@ class TestParser:
             cli.build_parser().parse_args(argv)
         expected = (err.value.code, *capsys.readouterr())
         assert _exit_outcome(argv, capsys) == expected
+        if argv == ["-h"]:  # each command is listed with its help text
+            for command, help_text in [("validate", "validate a document"),
+                                       ("measure", "compute belief intervals and uncertainty"),
+                                       ("check", "run property suites"),
+                                       ("gen", "generate a random document")]:
+                assert re.search(f"^ +{command} +{help_text}$", expected[1], re.M)
+        elif argv[-1:] == ["yaml"]:  # the command's own error keeps its usage line
+            assert expected[2].startswith("usage: dnumbers measure ")
 
     @pytest.mark.parametrize("argv, error", [
         (["bogus"], "error: argument command: invalid choice: "),

@@ -46,6 +46,12 @@ class TestBuildFrame:
         with pytest.raises(ValueError, match=r"^elements \w+ are not iterable$"):
             dn.Frame(elements, None, {})
         assert dn.Frame("ab", None, {}).elements == ("a", "b")
+        # a degree or mass table that is not iterable, named the same way
+        kind = type(elements).__name__
+        with pytest.raises(ValueError, match=rf"^degrees {kind} are not iterable$"):
+            dn.build_frame("ab", 2, elements)
+        with pytest.raises(ValueError, match=rf"^entries {kind} are not iterable$"):
+            dn.build_dnumber(dn.build_frame("ab", 2), elements)
 
     @pytest.mark.parametrize("elements", [{"a", "b", "c"}, frozenset("abc")],
                              ids=["set", "frozenset"])
