@@ -208,11 +208,8 @@ def main(argv=None) -> int:
         command = argv[0] if argv and argv[0] in COMMANDS else None
         if command is not None:
             args, extra = build_parser(command).parse_known_args(argv[1:])
-        if command is None or extra:
-            # no command first, or arguments left over: the root prints help or
-            # reports a usage error and exits; kept for an argparse that routes argv
-            args = build_parser().parse_args(argv)
-            command = args.command
+        if command is None or extra:  # no command first, or arguments left over
+            build_parser().parse_args(argv)  # the root prints help or a usage error, and exits
         code = COMMANDS[command][2](args)
         sys.stdout.flush()  # a closed stdout raises here at the latest
         return code

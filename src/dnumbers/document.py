@@ -21,9 +21,9 @@ involving the unknown element live under ``unknown.non_exclusivity`` as a
 label-to-degree mapping; pairs naming "X" in the top-level list are also
 accepted on input.
 
-This module checks the JSON shape; ``core.label_error``,
-``core.pair_errors`` and ``core.mass_error`` hold the label, degree and
-mass rules. Every D number serializes, and canonical documents round-trip
+:class:`Frame` and ``build_dnumber`` hold the rules a valid document is
+read with; only a document that breaks one is walked again for located
+errors. Every D number serializes, and canonical documents round-trip
 bit-exactly through serialize ∘ parse.
 """
 
@@ -45,6 +45,10 @@ from .core import (
     pair_errors,
 )
 
+#: The keys the root and ``unknown`` may hold
+_ROOT_KEYS = frozenset({"frame", "unknown", "non_exclusivity", "masses", "check"})
+_UNKNOWN_KEYS = frozenset({"cardinality", "non_exclusivity"})
+
 
 class DocumentError(ValueError):
     """Document validation failure carrying every located violation."""
@@ -58,41 +62,28 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
     """Parse and validate a document, returning the frame and the raw D
     number on it, ``(d.frame, d)``.
 
-    All violations are collected and reported together. One inside an
-    entry or field names it (``frame[0]``, ``unknown['size']``,
-    ``unknown.non_exclusivity['a']``, ``non_exclusivity[2]``, ``masses[1]``,
-    ``"unknown"``), an unknown key of an entry that has both its fields is
-    named in it (``masses[1]['mas']``), and an unknown root key is named as
-    a JSON string (``"non_exclusivty"``); a key repeated in an object the
-    schema reads is named in the same way (``"frame": repeated key``,
-    ``masses[0]['mass']: repeated key``), where ``json.loads`` alone would
-    keep its last value; a second, different degree for one pair is
-    reported at the later entry. The frame must be a nonempty
-    list of labels, each passing :func:`label_error`, the rules
-    :class:`Frame` holds. ``unknown`` may hold only ``cardinality``, an
-    integer from 2 to ``sys.float_info.max`` (:func:`cardinality_error`),
-    and ``non_exclusivity``. The pair entries go through :func:`pair_errors`
-    in one loop per list, the rules :func:`build_frame` holds, each
-    pair two labels first, and each reason is reported at its entry. An
-    ``unknown.non_exclusivity`` item ``{label: p}`` is checked as the pair
-    entry ``([label, "X"], p)``, and its key must be a frame label. A
-    mass entry's set must name only frame labels, checked first, as a set
-    of unknown labels has mask 0; then the entry must pass
-    :func:`mass_error`, the rules :class:`DNumber` holds, with its message
-    reported at ``masses[k]``. Duplicate mass entries for the same set are
-    rejected outright to surface authoring errors. The total mass is
-    summed with ``math.fsum``, as :class:`DNumber` sums it, and may exceed
-    1 by at most ``MASS_TOL``.
+    The document is decoded once and mapped: each label to its index, X
+    to N, each pair entry to its index pair and each set to its mask. The
+    tables go to :class:`Frame` and :func:`build_dnumber`, which hold the
+    label, cardinality, degree and mass rules; the map checks only the
+    document's own, by exact type: its shape, no unknown or repeated key,
+    one degree per pair and one mass per set.
 
-    The checks map each label to its index once, X to N, and key each
-    degree by its index pair and each mass by its mask, found in one pass
-    over the set's labels. They test exact types (``type(x) is str``),
-    which is exact for ``json.loads`` output, and format an entry's
-    location only when the entry fails. A valid document then becomes a
-    :class:`Frame` made straight from the degrees, which drops the zeros
-    and leaves the adjacency rows for the first read, and a :class:`DNumber`
-    made by :func:`build_dnumber` from the masks; :func:`build_frame` is
-    not on this path.
+    A document that fails is walked again, and every violation is reported
+    at its location, in document order: an entry or field (``frame[0]``,
+    ``unknown['size']``, ``unknown.non_exclusivity['a']``, ``masses[1]``,
+    ``"unknown"``), an unknown key of an entry with both its fields
+    (``masses[1]['mas']``), an unknown root key as a JSON string
+    (``"non_exclusivty"``), and last, a key repeated in an object the
+    schema reads, which ``json.loads`` alone would read as its last value
+    (``"frame": repeated key``, ``masses[0]['mass']: repeated key``). The
+    reasons are those of :func:`label_error`, :func:`cardinality_error`,
+    :func:`pair_errors`, which takes an ``unknown.non_exclusivity`` item
+    ``{label: p}`` as the pair entry ``([label, "X"], p)`` and reports a
+    second, different degree for one pair at the later entry, and
+    :func:`mass_error`, once the set names only frame labels, as a set of
+    unknown labels has mask 0. The total mass, summed with ``math.fsum``
+    as :class:`DNumber` sums it, may exceed 1 by at most ``MASS_TOL``.
     """
     if isinstance(text, bytes):
         try:
@@ -106,121 +97,150 @@ def parse_document(text: str | bytes) -> tuple[Frame, DNumber]:
         raise DocumentError([f"syntax error: {exc}"]) from None
     if not isinstance(doc, dict):
         raise DocumentError(["document root must be an object"])
+    try:
+        frame, d, keys = _read(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        declined = exc
+    else:
+        # each object member puts one ":" outside strings, so as many ":" as
+        # keys read means no object the schema reads repeats a key
+        if text.count(":") == keys:
+            return frame, d
+        declined = None
+    # decode again, each object as the tuple of its pairs: at the first
+    # decode's stack depth and through C's tuple, not a Python hook, so it
+    # passes the recursion limit only where the first decode did
+    repeated = _repeated_key_errors(json.loads(text, object_pairs_hook=tuple))
+    if declined is None and not repeated:  # a ":" in a string or under "check"
+        return frame, d
+    # the walk finds a violation in every document the map declines, as
+    # tests/test_document.py checks, so the map's own reason never shows
+    raise DocumentError(_located_errors(doc) + repeated or [str(declined)])
+
+
+def _schema_objects(root, members=lambda obj: obj if type(obj) is dict else {}):
+    """The objects the schema reads in a decoded document, as decoded: the
+    root, ``unknown`` and ``unknown.non_exclusivity`` ({} if absent), and
+    the entry lists ``non_exclusivity`` and ``masses`` ([] if absent).
+    ``members`` gives a decoded object as a ``dict``, anything else as {}."""
+    top = members(root)
+    unknown = top.get("unknown", {})
+    return (root, unknown, members(unknown).get("non_exclusivity", {}),
+            top.get("non_exclusivity", []), top.get("masses", []))
+
+
+def _read(doc: dict) -> tuple[Frame, DNumber, int]:
+    """The frame and raw D number of the decoded document ``doc``, and the
+    number of keys in the objects the schema reads; if ``doc`` breaks a
+    rule, ``KeyError``, ``TypeError`` or ``ValueError``, naming no place."""
+    _, unknown, x_degrees, pairs, entries = _schema_objects(doc)
+    labels = doc["frame"]
+    if not (doc.keys() <= _ROOT_KEYS and type(labels) is list
+            and type(unknown) is dict and unknown.keys() <= _UNKNOWN_KEYS
+            and None not in unknown.values()  # Frame reads None as no cardinality
+            and type(x_degrees) is dict and type(pairs) is list
+            and type(entries) is list and entries):
+        raise ValueError("not the document's shape")
+    index = {label: i for i, label in enumerate([*labels, X_LABEL])}
+    degrees: dict[tuple[int, int], float] = {}  # zeros too, to see a conflict
+    for entry in [{"pair": [label, X_LABEL], "degree": p}
+                  for label, p in x_degrees.items()] + pairs:
+        if len(entry) != 2 or type(pair := entry["pair"]) is not list:
+            raise ValueError("not a pair entry")
+        a, b = pair
+        i, j, p = index[a], index[b], entry["degree"]
+        # a second degree must equal the first, and JSON's true equals no number
+        if ((old := degrees.setdefault((i, j) if i < j else (j, i), p)) is not p
+                and (old != p or type(p) is bool)):
+            raise ValueError("conflicting degrees")
+    masses = {}  # mask -> mass
+    for entry in entries:
+        if len(entry) != 2 or type(subset := entry["set"]) is not list:
+            raise ValueError("not a mass entry")
+        mask = 0
+        for label in subset:
+            mask |= 1 << index[label]
+        masses[mask] = entry["mass"]
+    if len(masses) < len(entries):
+        raise ValueError("duplicate sets")
+    frame = Frame(labels, unknown.get("cardinality"), degrees)
+    return (frame, build_dnumber(frame, masses.items()),
+            sum(map(len, (doc, unknown, x_degrees, *pairs, *entries))))
+
+
+def _located_errors(doc: dict) -> list[str]:
+    """Every violation in the decoded document ``doc`` but a repeated key,
+    each at its location, in document order."""
+    _, unknown, x_degrees, pairs, raw_masses = _schema_objects(doc)
     errors: list[str] = [
         f'{json.dumps(key)}: unknown key; expected "frame", "unknown", '
-        f'"non_exclusivity", "masses" or "check"' for key in doc
-        if key not in ("frame", "unknown", "non_exclusivity", "masses", "check")]
+        f'"non_exclusivity", "masses" or "check"' for key in doc if key not in _ROOT_KEYS]
 
     labels = doc.get("frame")
     if not (labels and type(labels) is list and all(type(x) is str for x in labels)):
-        raise DocumentError([*errors, '"frame" must be a nonempty list of strings',
-                             *_repeated_key_errors(json.loads(text, object_pairs_hook=tuple))])
+        return [*errors, '"frame" must be a nonempty list of strings']
     index = {X_LABEL: len(labels)}  # a repeated label keeps its first index
     for k, label in enumerate(labels):
         if reason := label_error(label, index):
             errors.append(f"frame[{k}]: {reason}")
         index.setdefault(label, k)
 
-    unknown = _object(errors, doc.get("unknown", {}), "unknown")
-    for key in unknown:
-        if key not in ("cardinality", "non_exclusivity"):
-            errors.append(f'unknown[{key!r}]: unknown key; expected '
-                          f'"cardinality" or "non_exclusivity"')
-    cardinality = unknown.get("cardinality")
-    if "cardinality" in unknown and (reason := cardinality_error(cardinality)):
+    if type(unknown) is not dict:
+        errors.append('"unknown" must be an object')
+        unknown = {}
+    errors += (f'unknown[{key!r}]: unknown key; expected "cardinality" or '
+               f'"non_exclusivity"' for key in unknown if key not in _UNKNOWN_KEYS)
+    if "cardinality" in unknown and (reason := cardinality_error(unknown["cardinality"])):
         errors.append(f'"unknown.cardinality" {reason}')
 
-    x_degrees = _object(errors, unknown.get("non_exclusivity", {}),
-                        "unknown.non_exclusivity")
+    if type(x_degrees) is not dict:
+        errors.append('"unknown.non_exclusivity" must be an object')
+        x_degrees = {}
     if X_LABEL in x_degrees:  # keys name frame elements, and X is not one
-        errors.append(f"unknown.non_exclusivity[{X_LABEL!r}]: "
-                      f"unknown label {X_LABEL!r}")
+        errors.append(f"unknown.non_exclusivity[{X_LABEL!r}]: unknown label {X_LABEL!r}")
     # (i, j), i < j -> degree; zeros too, so a conflict shows in either order
     degrees: dict[tuple[int, int], float] = {}
-    pairs = doc.get("non_exclusivity", [])
-    for name, entries in (
-            ("unknown.non_exclusivity", ((label, [label, X_LABEL], p)
-                                         for label, p in x_degrees.items()
-                                         if label != X_LABEL)),
-            ("non_exclusivity", _entries(errors, pairs, "non_exclusivity",
-                                         "pair", "degree"))):
+    x_entries = ((label, [label, X_LABEL], p)
+                 for label, p in x_degrees.items() if label != X_LABEL)
+    listed = _entries(errors, pairs, "non_exclusivity", "pair", "degree")
+    for name, entries in (("unknown.non_exclusivity", x_entries), ("non_exclusivity", listed)):
         for key, error in pair_errors(index, degrees, entries):
             errors.append(f"{name}[{key!r}]: {error}")
 
-    raw_masses = doc.get("masses")
     if not raw_masses:
         errors.append('"masses" must be a nonempty list')
-        raw_masses = []
     masses: dict[int, float] = {}  # mask -> mass
-    for k, subset, mass in _entries(errors, raw_masses, "masses", "set", "mass"):
-        mask, unknown_label = _subset_mask(subset, index)
-        if mask is None:
+    for k, subset, mass in _entries(errors, raw_masses or [], "masses", "set", "mass"):
+        if type(subset) is not list or not all(type(x) is str for x in subset):
             error = '"set" must be a list of labels'
-        elif unknown_label is not None:  # first: a set of unknown labels has mask 0
-            error = f"unknown label {unknown_label!r}"
-        elif (error := mass_error(mask, mass)) is None and mask in masses:
+        elif missing := [x for x in subset if x not in index]:  # first: alone, mask 0
+            error = f"unknown label {missing[0]!r}"
+        elif ((error := mass_error(mask := sum({1 << index[x] for x in subset}), mass))
+              is None and mask in masses):
             error = f"duplicate entry for set {sorted(subset)}"
         if error is None:
             masses[mask] = mass
         else:
             errors.append(f"masses[{k}]: {error}")
 
-    total = math.fsum(masses.values())
-    if total > 1.0 + MASS_TOL:
+    if (total := math.fsum(masses.values())) > 1.0 + MASS_TOL:
         errors.append(f"total mass {total} exceeds 1")
-
-    # each object member puts one ":" outside strings, and with no error each
-    # entry holds just its two keys: so as many ":" as keys read means no
-    # object the schema reads repeats a key. Else decode again, each object
-    # as the tuple of its pairs: at the first decode's stack depth and
-    # through C's tuple, not a Python hook, so it passes the recursion limit
-    # only where the first decode did
-    if errors or text.count(":") != (len(doc) + len(unknown) + len(x_degrees)
-                                     + 2 * (len(pairs) + len(raw_masses))):
-        errors += _repeated_key_errors(json.loads(text, object_pairs_hook=tuple))
-    if errors:
-        raise DocumentError(errors)
-
-    try:
-        frame = Frame(labels, cardinality, degrees)
-        d = build_dnumber(frame, masses.items())
-    except ValueError as exc:
-        raise DocumentError([str(exc)]) from None
-    return frame, d
-
-
-def _repeated_key_errors(root: tuple) -> list[str]:
-    """A located error for each key repeated in an object the schema reads
-    (the root, ``unknown``, ``unknown.non_exclusivity`` and each object
-    entry of ``non_exclusivity`` and ``masses``), in a document decoded with
-    each object as the tuple of its (key, value) pairs. Nothing under
-    ``check`` is read, so a key repeated there is no error."""
-    def members(obj) -> dict:  # the value json.loads keeps for each key
-        return dict(obj) if type(obj) is tuple else {}
-
-    def repeated(obj) -> list[str]:
-        counts = Counter(key for key, _ in obj) if type(obj) is tuple else {}
-        return [key for key, count in counts.items() if count > 1]
-
-    errors = [f"{json.dumps(key)}: repeated key" for key in repeated(root)]
-    top = members(root)
-    objects = [("unknown", top.get("unknown")),
-               ("unknown.non_exclusivity",
-                members(top.get("unknown")).get("non_exclusivity"))]
-    for name in ("non_exclusivity", "masses"):
-        if type(entries := top.get(name)) is list:
-            objects += ((f"{name}[{k}]", entry) for k, entry in enumerate(entries))
-    for name, obj in objects:
-        errors += (f"{name}[{key!r}]: repeated key" for key in repeated(obj))
     return errors
 
 
-def _object(errors: list[str], value, name: str) -> dict:
-    """``value`` if it is a JSON object; otherwise record an error and give {}."""
-    if isinstance(value, dict):
-        return value
-    errors.append(f'"{name}" must be an object')
-    return {}
+def _repeated_key_errors(root: tuple) -> list[str]:
+    """A located error for each key repeated in an object the schema reads,
+    in a document decoded with each object as the tuple of its pairs.
+    Nothing under ``check`` is read, so a key repeated there is no error."""
+    root, unknown, x_degrees, pairs, masses = _schema_objects(
+        root, lambda obj: dict(obj) if type(obj) is tuple else {})
+    objects = [("", root), ("unknown", unknown), ("unknown.non_exclusivity", x_degrees)]
+    for name, entries in (("non_exclusivity", pairs), ("masses", masses)):
+        if type(entries) is list:
+            objects += ((f"{name}[{k}]", entry) for k, entry in enumerate(entries))
+    return [f"{f'{name}[{key!r}]' if name else json.dumps(key)}: repeated key"
+            for name, obj in objects if type(obj) is tuple
+            for key, count in Counter(key for key, _ in obj).items() if count > 1]
 
 
 def _entries(errors: list[str], value, name: str, first: str, second: str):
@@ -233,30 +253,12 @@ def _entries(errors: list[str], value, name: str, first: str, second: str):
         return
     for k, entry in enumerate(value):
         if type(entry) is dict and first in entry and second in entry:
-            if len(entry) > 2:  # one len for a well-formed entry
-                errors.extend(f'{name}[{k}][{key!r}]: unknown key; expected '
-                              f'"{first}" and "{second}"'
-                              for key in entry if key not in (first, second))
+            errors.extend(f'{name}[{k}][{key!r}]: unknown key; expected '
+                          f'"{first}" and "{second}"'
+                          for key in entry if key not in (first, second))
             yield k, entry[first], entry[second]
         else:
             errors.append(f'{name}[{k}]: expected an object with "{first}" and "{second}"')
-
-
-def _subset_mask(subset, index: dict[str, int]) -> tuple[int | None, str | None]:
-    """The mask of the labels in ``subset`` that ``index`` holds, and the
-    first label it does not hold, or ``None``; (``None``, ``None``) when
-    ``subset`` is not a list of labels. One pass over ``subset``."""
-    if type(subset) is not list:
-        return None, None
-    mask, unknown = 0, None
-    for label in subset:
-        if type(label) is not str:
-            return None, None
-        if (i := index.get(label)) is not None:
-            mask |= 1 << i
-        elif unknown is None:
-            unknown = label
-    return mask, unknown
 
 
 def document_dict(d: DNumber) -> dict:

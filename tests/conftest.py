@@ -1,8 +1,11 @@
+import functools
 import math
 
 import hypothesis.strategies as st
+import pytest
 
 import dnumbers as dn
+from dnumbers import document
 
 LETTERS = "abcdef"
 
@@ -53,3 +56,40 @@ def raw_dnumbers(draw, max_size=4):
 @st.composite
 def completed_dnumbers(draw, max_size=4):
     return dn.complete(draw(raw_dnumbers(max_size)))
+
+
+def built_from_labels(doc):
+    """(frame, d) as ``build_frame`` and ``build_dnumber`` build them from the
+    labels of the valid decoded document ``doc``."""
+    unknown = doc.get("unknown", {})
+    degrees = [((label, dn.X_LABEL), p)
+               for label, p in unknown.get("non_exclusivity", {}).items()]
+    degrees += [(entry["pair"], entry["degree"]) for entry in doc.get("non_exclusivity", [])]
+    frame = dn.build_frame(doc["frame"], unknown.get("cardinality"), degrees)
+    return frame, dn.build_dnumber(frame, [(frame.subset(entry["set"]), entry["mass"])
+                                           for entry in doc["masses"]])
+
+
+@pytest.fixture(scope="module")
+def map_agrees_with_walk():
+    """On every document ``parse_document`` reads, check that its map,
+    ``document._read``, declines exactly the documents in which its located
+    walk, ``document._located_errors``, finds a violation, and that what the
+    map accepts is what the library builds from the document's labels."""
+    read = document._read
+
+    @functools.wraps(read)
+    def checked(doc):
+        errors = document._located_errors(doc)
+        try:
+            frame, d, keys = read(doc)
+        except (KeyError, TypeError, ValueError):
+            assert errors, f"the map declines, the walk finds nothing: {doc!r}"
+            raise
+        assert not errors, f"the map accepts, the walk finds {errors}"
+        assert (frame, d) == built_from_labels(doc)
+        return frame, d, keys
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(document, "_read", checked)
+        yield

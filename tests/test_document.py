@@ -10,7 +10,11 @@ import dnumbers as dn
 from dnumbers import core, document, oracle
 from dnumbers.document import DocumentError
 
-from conftest import BAD_MASS_IDS, BAD_MASSES, raw_dnumbers
+from conftest import BAD_MASS_IDS, BAD_MASSES, built_from_labels, raw_dnumbers
+
+# every document here, and in test_fuzz.py, also checks parse_document's map
+# against its walk: the map declines exactly when the walk finds a violation
+pytestmark = pytest.mark.usefixtures("map_agrees_with_walk")
 
 MINIMAL = json.dumps({"frame": ["a", "b"],
                       "masses": [{"set": ["a", "b"], "mass": 1}]})
@@ -430,6 +434,99 @@ def test_pair_rules_stopping_at_first_fault_fail(monkeypatch):
     monkeypatch.setattr(document, "pair_errors", first_only)
     with pytest.raises(AssertionError):
         test_every_fault_reported_in_order(str)
+
+
+#: Shapes the map could take for valid by accident, and what the walk reports
+HOSTILE = [
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": [{"pair": "ab", "degree": 0.5}], '
+                 + ONE_MASS, ['non_exclusivity[0]: "pair" must be two labels'],
+                 id="pair-as-string"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": '
+                 '[{"pair": {"a": 1, "b": 2}, "degree": 0.5}], ' + ONE_MASS,
+                 ['non_exclusivity[0]: "pair" must be two labels'], id="pair-as-object"),
+    pytest.param('{"frame": ["a", "b"], "masses": [{"set": "ab", "mass": 1}]}',
+                 ['masses[0]: "set" must be a list of labels'], id="set-as-string"),
+    pytest.param('{"frame": ["a", "b"], "masses": [{"set": {"a": 1}, "mass": 1}]}',
+                 ['masses[0]: "set" must be a list of labels'], id="set-as-object"),
+    pytest.param('{"frame": "ab", ' + ONE_MASS,
+                 ['"frame" must be a nonempty list of strings'], id="frame-as-string"),
+    pytest.param('{"frame": {"a": 1}, ' + ONE_MASS,
+                 ['"frame" must be a nonempty list of strings'], id="frame-as-object"),
+    pytest.param('{"frame": [["a"]], ' + ONE_MASS,
+                 ['"frame" must be a nonempty list of strings'], id="unhashable-label"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": '
+                 '[{"pair": [["a"], "b"], "degree": 0.5}], ' + ONE_MASS,
+                 ['non_exclusivity[0]: "pair" must be two labels'],
+                 id="unhashable-label-in-pair"),
+    pytest.param('{"frame": ["a", "b"], "masses": [{"set": [["a"]], "mass": 1}]}',
+                 ['masses[0]: "set" must be a list of labels'], id="unhashable-label-in-set"),
+    pytest.param('{"frame": ["a", "a"], ' + ONE_MASS, ["frame[1]: duplicate label 'a'"],
+                 id="duplicate-labels"),
+    pytest.param('{"frame": ["X", "a"], ' + ONE_MASS,
+                 ["frame[0]: label 'X' is reserved for the unknown element"],
+                 id="label-x"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": [{"pair": ["a", "b"], '
+                 '"degree": NaN}, {"pair": ["a", "b"], "degree": NaN}], ' + ONE_MASS,
+                 ["non_exclusivity[0]: degree nan outside [0, 1]",
+                  "non_exclusivity[1]: degree nan outside [0, 1]"], id="nan-degree-twice"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": [{"pair": ["a", "b"], '
+                 '"degree": 1}, {"pair": ["b", "a"], "degree": 1.0}], ' + ONE_MASS,
+                 None, id="one-then-one-point-zero"),
+    pytest.param('{"frame": ["a", "b"], "non_exclusivity": [{"pair": ["a", "b"], '
+                 '"degree": 1}, {"pair": ["b", "a"], "degree": true}], ' + ONE_MASS,
+                 ["non_exclusivity[1]: degree True outside [0, 1]"], id="one-then-true"),
+    pytest.param('{"frame": ["a"], "unknown": {"non_exclusivity": {"a": 0}}, '
+                 '"non_exclusivity": [{"pair": ["X", "a"], "degree": false}], ' + ONE_MASS,
+                 ["non_exclusivity[0]: degree False outside [0, 1]"], id="zero-then-false"),
+    pytest.param('{"frame": ["a", "b"], "masses": [{"set": [], "mass": 1}]}',
+                 ["masses[0]: mass on empty set: D(∅) must be 0"], id="empty-set"),
+    pytest.param('{"frame": ["a", "b"], "masses": [{"set": ["a"], "mass": 0.5}, '
+                 '{"set": ["a", "a"], "mass": 0.5}]}',
+                 ["masses[1]: duplicate entry for set ['a', 'a']"], id="same-set-twice"),
+    pytest.param('{"frame": ["a"], "unknown": {"cardinality": null}, ' + ONE_MASS,
+                 ['"unknown.cardinality" must be an integer from 2 to '
+                  '1.7976931348623157e+308, got None'], id="null-cardinality"),
+    pytest.param('{"frame": ["a"], "masses": {"ab": 1}}', ['"masses" must be a list'],
+                 id="masses-as-object"),
+    pytest.param('{"frame": ["a", "b"], "masses": ["ab"]}',
+                 ['masses[0]: expected an object with "set" and "mass"'],
+                 id="two-letter-mass-entry"),
+    pytest.param('{"frame": ["a:b"], "masses": [{"set": ["a:b"], "mass": 1}], '
+                 '"check": {"k": 1, "k": 2}}', None, id="colons-not-keys"),
+]
+
+
+@pytest.mark.parametrize("text, errors", HOSTILE)
+def test_hostile_shape(text, errors):
+    if errors is None:
+        frame, d = dn.parse_document(text)
+        assert (frame, d) == built_from_labels(json.loads(text))
+    else:
+        with pytest.raises(DocumentError) as err:
+            dn.parse_document(text)
+        assert err.value.errors == errors
+
+
+@pytest.mark.parametrize("check", [None, {"trial": 0}])
+def test_valid_document_does_not_reach_the_walk(monkeypatch, check):
+    # the map, not the walk, reads a valid dense N=64 document, also when its
+    # "check" object sends it through the second decode for repeated keys
+    rng = random.Random(64)
+    frame = dn.Frame([f"e{i}" for i in range(64)], 3, {
+        (i, j): rng.choice([0.0, 1.0, rng.random()])
+        for i in range(65) for j in range(i + 1, 65)})
+    d = dn.DNumber(frame, {rng.randrange(1, frame.full_mask + 1): rng.random() / 128
+                           for _ in range(128)})
+    text = dn.serialize_document(d, check)
+    # without this module's check beside the map, which runs the walk on purpose
+    monkeypatch.setattr(document, "_read", document._read.__wrapped__)
+
+    def walk_rule(*args):
+        raise AssertionError("a valid document reached the walk")
+
+    for name in ("label_error", "cardinality_error", "pair_errors", "mass_error"):
+        monkeypatch.setattr(document, name, walk_rule)
+    assert dn.parse_document(text) == (frame, d)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -13,11 +13,15 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from dnumbers import cli
 from dnumbers.core import MASS_TOL
 from dnumbers.document import DocumentError, parse_document
+
+# every document here also checks parse_document's map against its walk
+pytestmark = pytest.mark.usefixtures("map_agrees_with_walk")
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
 
