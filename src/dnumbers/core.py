@@ -135,11 +135,14 @@ class _Value:
     pickling. A read-only table hashes as the ``frozenset`` of its items,
     and ``pickle`` and ``copy.deepcopy`` rebuild through the constructor,
     checks included, from the fields in order, each table as a ``dict``.
-    Setting or deleting any attribute raises ``AttributeError``; a
-    constructor stores its fields, and a derived value, with
-    ``object.__setattr__``.
+    Each subclass lists its whole state in ``__slots__``: its fields, the
+    values its constructor derives and a private slot per table built on
+    first read, so no instance has a ``__dict__``. Setting or deleting any
+    attribute raises ``AttributeError``; a constructor stores its fields,
+    and a derived value, with ``object.__setattr__``.
     """
 
+    __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def _fields(self) -> tuple:
@@ -180,34 +183,6 @@ class _Value:
     __replace__ = replace  # copy.replace, Python 3.13+
 
 
-class _computed_once:
-    """A method run on first read, its value then stored as the attribute.
-
-    Only for the tables that ``validate``, ``gen`` and serialization must
-    not pay for, :attr:`Frame.adjacency` and :attr:`DNumber.singleton_pl`.
-    Like ``functools.cached_property``, but the value is stored with
-    ``object.__setattr__``, which also gets past the blocking
-    ``__setattr__`` of a :class:`_Value`, instead of through
-    ``instance.__dict__``. On CPython 3.11 reading
-    ``__dict__`` turns an object's inline attribute values into a dict,
-    and every later attribute read on it costs about three times as much.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.func(instance)
-        object.__setattr__(instance, self.name, value)  # shadows this descriptor
-        return value
-
-
 class Frame(_Value):
     """Ordered element labels, the unknown element X, and pairwise degrees.
 
@@ -230,17 +205,19 @@ class Frame(_Value):
     ``index`` (label to index, "X" to N), ``x_mask`` {X}, ``theta_mask``
     Θ and ``full_mask`` Θ ∪ {X}.
     ``adjacency``, which ``validate``, ``gen`` and serialization never
-    build, is derived on first read and then kept: for each index 0..N,
-    X included, a read-only map from neighbour index to degree, the row of
-    that index. Invariant: each row lists its neighbours strongest-first,
+    build, is derived on first read and then kept in the slot ``_adjacency``:
+    for each index 0..N, X included, a read-only map from neighbour index to
+    degree, the row of that index. Invariant: each row lists its neighbours strongest-first,
     by non-increasing degree, ties in the order of ``degrees``, filled
     from the table sorted once, the order :meth:`nonexclusivity` and
     :attr:`DNumber.singleton_pl` walk.
-    Instances are immutable, tables included: setting or deleting any
-    attribute raises ``AttributeError``.
+    Instances are immutable, tables included, and have no ``__dict__``:
+    setting or deleting any attribute raises ``AttributeError``.
     """
 
     __match_args__ = ("elements", "unknown_cardinality", "degrees")
+    __slots__ = (*__match_args__, "index", "size", "x_mask", "theta_mask", "full_mask",
+                 "_adjacency")
 
     def __init__(self, elements, unknown_cardinality: int | None,
                  degrees: Mapping[tuple[int, int], float]):
@@ -284,13 +261,19 @@ class Frame(_Value):
         object.__setattr__(self, "theta_mask", (1 << x) - 1)
         object.__setattr__(self, "full_mask", (2 << x) - 1)
 
-    @_computed_once  # read by every nonexclusivity call and the kernel
+    @property  # read by every nonexclusivity call and the kernel
     def adjacency(self) -> tuple[Mapping[int, float], ...]:
         """Each index's row, 0..N, X last: neighbour -> degree, strongest-first."""
+        try:
+            return self._adjacency
+        except AttributeError:  # first read
+            pass
         rows: list[dict[int, float]] = [{} for _ in range(len(self.elements) + 1)]
         for (i, j), p in sorted(self.degrees.items(), key=itemgetter(1), reverse=True):
             rows[i][j] = rows[j][i] = p
-        return tuple(map(MappingProxyType, rows))
+        adjacency = tuple(map(MappingProxyType, rows))
+        object.__setattr__(self, "_adjacency", adjacency)
+        return adjacency
 
     def nonexclusivity(self, a: int, b: int) -> float:
         """Non-exclusivity degree between two nonempty subsets.
@@ -397,11 +380,13 @@ class DNumber(_Value):
     ``repr``, :meth:`replace` or pickling. Set once: ``total_mass``, the
     masses' fsum, and ``completed``, true within ``MASS_TOL`` of 1 on
     either side, so :func:`complete` only ever adds a positive residual.
-    ``singleton_pl`` is derived on first use and then kept: a read-only
-    tuple of Pl({i}) for every index 0..N, X last.
+    ``singleton_pl`` is derived on first use and then kept in the slot
+    ``_singleton_pl``: a read-only tuple of Pl({i}) for every index 0..N,
+    X last.
     """
 
     __match_args__ = ("frame", "masses")
+    __slots__ = (*__match_args__, "total_mass", "completed", "_singleton_pl")
 
     def __init__(self, frame: Frame, masses: Mapping[int, float]):
         if not isinstance(frame, Frame):
@@ -423,7 +408,7 @@ class DNumber(_Value):
         object.__setattr__(self, "total_mass", total)
         object.__setattr__(self, "completed", 1.0 - total <= MASS_TOL)
 
-    @_computed_once
+    @property
     def singleton_pl(self) -> tuple[float, ...]:
         """Pl({i}) for every index 0..N, X last, from one sweep per index.
 
@@ -443,6 +428,10 @@ class DNumber(_Value):
         then per index the walk to its first full cover or row end, plus
         one product per reached (i, b).
         """
+        try:
+            return self._singleton_pl
+        except AttributeError:  # first read
+            pass
         adjacency = self.frame.adjacency
         terms: list[list[float]] = [[] for _ in adjacency]
         weights = []  # D(b) of the wider focal sets, by position
@@ -473,7 +462,9 @@ class DNumber(_Value):
                             reached ^= 1 << k
                         if not remaining:
                             break
-        return tuple(map(math.fsum, terms))
+        singleton_pl = tuple(map(math.fsum, terms))
+        object.__setattr__(self, "_singleton_pl", singleton_pl)
+        return singleton_pl
 
 
 def build_dnumber(frame: Frame, entries) -> DNumber:
@@ -563,7 +554,7 @@ def pl(d: DNumber, a: int) -> float:
 class BeliefInterval(_Value):
     """Support range [Bel(A), Pl(A)] for a proposition."""
 
-    __match_args__ = ("lower", "upper")
+    __slots__ = __match_args__ = ("lower", "upper")
 
     def __init__(self, lower: float, upper: float):
         if not (-MASS_TOL <= lower <= upper + MASS_TOL and upper <= 1.0 + MASS_TOL):

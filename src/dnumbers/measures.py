@@ -27,7 +27,7 @@ class UnknownModel(str, Enum):
 class TotalUncertainty(_Value):
     """The (KU, UU) pair; ``uu_evaluated`` is present when a model applies."""
 
-    __match_args__ = ("ku", "uu_coefficient", "uu_evaluated")
+    __slots__ = __match_args__ = ("ku", "uu_coefficient", "uu_evaluated")
 
     def __init__(self, ku: float, uu_coefficient: float,
                  uu_evaluated: float | None = None):

@@ -38,7 +38,8 @@ class GeneratorConfig(_Value):
     ``bool``, ``None`` or ``float``, or a negative seed, raises ``ValueError``.
     """
 
-    __match_args__ = ("frame_size", "focal_count", "completeness", "exclusivity", "seed")
+    __slots__ = __match_args__ = ("frame_size", "focal_count", "completeness",
+                                  "exclusivity", "seed")
 
     def __init__(self, frame_size: int = 3, focal_count: int | None = None,
                  completeness: str = "random", exclusivity: str = "random-degrees",

@@ -456,7 +456,7 @@ def assert_measured(path, capsys, rows, ku, uu, injected):
 
 def x_pl_zero_mutant():
     """The singleton Pl pass with Pl({X}) = 0, as a ``DNumber.singleton_pl``."""
-    singleton_pl = DNumber.singleton_pl.func
+    singleton_pl = DNumber.singleton_pl.fget
     return property(lambda d: singleton_pl(d)[:-1] + (0.0,))
 
 
@@ -549,7 +549,7 @@ class TestKernel:
                                                      monkeypatch):
         # the kernel stops at the first neighbour reaching a focal set, so
         # rows listed weakest-first give it the smallest degree instead
-        rows = Frame.adjacency.func
+        rows = Frame.adjacency.fget
         monkeypatch.setattr(Frame, "adjacency", property(lambda self: tuple(
             dict(order(list(row.items()))) for row in rows(self))))
         assert cli.main(["check", "oracle", "--trials", "20", "--seed", "7"]) == code
@@ -611,7 +611,7 @@ class TestCheck:
     def test_mutated_adjacency_fails_oracle(self, capsys, monkeypatch):
         # drop every pair with X from the adjacency but not from ``degrees``,
         # which the oracle reads through ``literal_nonexclusivity``
-        rows = Frame.adjacency.func
+        rows = Frame.adjacency.fget
 
         def without_x(self):
             x = self.size
@@ -901,6 +901,16 @@ class TestUsage:
         finally:
             os.close(write_end)
         assert (run.returncode, run.stderr) == (141, b"")
+
+    def test_closed_stdout_returns_141_in_process(self, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(["gen"]) == 141
+            # the flush at close then goes to devnull, not to the broken pipe
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
 
     def test_unknown_flag_exits_3(self):
         assert cli.main(["measure", "--bogus"]) == 3

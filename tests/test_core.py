@@ -8,6 +8,7 @@ import random
 import sys
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType, MemberDescriptorType
 
 import hypothesis.strategies as st
 import pytest
@@ -238,7 +239,9 @@ class TestFrameInvariants:
         derived = ["index", "size", "x_mask", "theta_mask", "full_mask"]
         assert list(f.__match_args__) == [
             "elements", "unknown_cardinality", "degrees"]
-        assert not any(isinstance(v, property) for v in vars(dn.Frame).values())
+        assert [name for name, v in vars(dn.Frame).items()
+                if isinstance(v, property)] == ["adjacency"]
+        assert all(type(vars(dn.Frame)[name]) is MemberDescriptorType for name in derived)
         assert list(f.index.items()) == [("a", 0), ("b", 1), ("X", 2)]
         assert [f.size, f.x_mask, f.theta_mask, f.full_mask] == [2, 0b100, 0b011, 0b111]
         with pytest.raises(TypeError):
@@ -662,16 +665,16 @@ class TestReadOnlyTables:
         d = oracle.generate_raw(oracle.GeneratorConfig(frame_size=5, seed=3))
         frame, text = d.frame, dn.serialize_document(d)
         parsed, _ = dn.parse_document(text)
-        assert "adjacency" not in vars(frame) and "adjacency" not in vars(parsed)
+        assert not hasattr(frame, "_adjacency") and not hasattr(parsed, "_adjacency")
         shown = repr(parsed)
         rows = parsed.adjacency
-        assert parsed.adjacency is rows and "adjacency" in vars(parsed)
+        assert parsed.adjacency is rows and parsed._adjacency is rows
         assert rows == dn.Frame(parsed.elements, parsed.unknown_cardinality,
                                 parsed.degrees).adjacency
         assert parsed == frame and repr(parsed) == shown
         assert "adjacency" not in parsed.__match_args__
         other = parsed.replace(degrees={(0, 1): 0.5})
-        assert "adjacency" not in vars(other)
+        assert not hasattr(other, "_adjacency")
         assert other.adjacency == ({1: 0.5}, {0: 0.5}, {}, {}, {}, {})
         with pytest.raises(AttributeError, match="cannot assign to field 'adjacency'"):
             parsed.adjacency = ()
@@ -723,7 +726,7 @@ class TestValueTypes:
                 == [(m, v.hex()) for m, v in d.masses.items()])
         assert ([(key, p.hex()) for key, p in copied.frame.degrees.items()]
                 == [(key, p.hex()) for key, p in d.frame.degrees.items()])
-        assert "singleton_pl" not in vars(copied) and "adjacency" not in vars(copied.frame)
+        assert not hasattr(copied, "_singleton_pl") and not hasattr(copied.frame, "_adjacency")
         assert copied.singleton_pl == pl
         for value in one_value_of_each_type():
             copied = round_trip(value)
@@ -792,6 +795,31 @@ class TestValueTypes:
                 with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
                     delattr(value, name)
         assert (interval.lower, tu.ku, f.size) == (0.25, 1.5, 2)
+
+    def test_no_instance_dict_to_write_through(self):
+        # a write into the instance dict used to get past __setattr__
+        values = {type(value): value for value in one_value_of_each_type()}
+        f, d = values[dn.Frame], values[dn.DNumber]
+        rows, pl = f.adjacency, d.singleton_pl  # the private slots are filled
+        for cls in dn.core._Value.__subclasses__():
+            value = values[cls]
+            with pytest.raises(TypeError):
+                vars(value)
+            with pytest.raises(AttributeError):
+                value.__dict__  # noqa: B018
+            for name in ("_adjacency", "_singleton_pl"):
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                    delattr(value, name)
+        assert f.adjacency is rows and d.singleton_pl is pl
+        held = {f}
+        with pytest.raises(AttributeError):
+            f.__dict__["unknown_cardinality"] = 7
+        with pytest.raises(AttributeError):
+            d.__dict__["masses"] = MappingProxyType({1: 1.0})
+        assert f in held and f.unknown_cardinality == 2
+        assert d.masses == {1: 0.25, 3: 0.75}
 
     def test_not_equal_to_its_field_tuple(self):
         assert (dn.BeliefInterval(0.0, 1.0) == (0.0, 1.0)) is False
